@@ -25,7 +25,7 @@
 //! Run with:
 //! `cargo run --release -p sanctorum-bench --bin attestation_service_stats`
 
-use sanctorum_bench::boot_attestation_service;
+use sanctorum_bench::{boot_attestation_service, calibrate, extract_number};
 use sanctorum_core::mailbox::MAILBOX_QUEUE_DEPTH;
 use sanctorum_enclave::client::AttestationClient;
 use sanctorum_enclave::signing::SigningEnclave;
@@ -182,20 +182,6 @@ fn main() {
     }
 }
 
-/// Fixed pure-CPU workload (FNV-1a over a 4 KiB buffer), the same
-/// machine-speed yardstick `explorer_stats` uses.
-fn calibrate() -> f64 {
-    let buffer = [0xa5u8; 4096];
-    let rounds = 20_000u64;
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for round in 0..rounds {
-        acc ^= sanctorum_hal::fnv::fnv1a(round ^ acc, &buffer);
-    }
-    std::hint::black_box(acc);
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
 fn render_json(
     clients: usize,
     rounds: usize,
@@ -226,17 +212,4 @@ fn render_json(
 }}
 "#
     )
-}
-
-/// Minimal `"key": number` extractor (the workspace's serde is a no-op shim).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }

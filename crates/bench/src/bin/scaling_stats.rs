@@ -25,7 +25,7 @@
 //!   parallel scaling. Only enforced when the host actually has ≥ 4 CPUs
 //!   (`host_cpus` is recorded in the JSON either way).
 //! * **fine at 8 threads ≥ 3× fine at 1 thread, mixed-mutation** — the
-//!   *write path* scales too: with the epoch read-side, per-hart id
+//!   *write path* scales too: with read-locked lookup tables, per-hart id
 //!   allocation and batched backend flushes, lifecycle churn must not
 //!   serialize on the metadata locks. Only enforced at `host_cpus >= 8`;
 //!   the ratio is recorded in the JSON either way.

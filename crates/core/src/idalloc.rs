@@ -41,8 +41,6 @@ thread_local! {
 struct IdPool {
     /// Next never-issued id.
     next: u64,
-    /// One past the last issuable id (`None` = unbounded).
-    end: Option<u64>,
     /// Ids freed back from the caches, reissued before fresh ones.
     recycled: Vec<u64>,
 }
@@ -69,12 +67,6 @@ impl IdAllocator {
     /// Creates an unbounded allocator issuing ids from `base` upward,
     /// refilling per-hart caches `batch` ids at a time.
     pub fn new(base: u64, batch: usize) -> Self {
-        Self::bounded(base, None, batch)
-    }
-
-    /// Creates an allocator limited to `capacity` ids (for exhaustion
-    /// testing and capped id spaces). `None` capacity is unbounded.
-    pub fn bounded(base: u64, capacity: Option<u64>, batch: usize) -> Self {
         Self {
             batch: batch.max(1),
             slots: (0..ID_SLOTS)
@@ -84,16 +76,10 @@ impl IdAllocator {
                 rank::ID_POOL,
                 IdPool {
                     next: base,
-                    end: capacity.map(|c| base + c),
                     recycled: Vec::new(),
                 },
             ),
         }
-    }
-
-    /// The configured refill batch size.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// The calling thread's cache slot.
@@ -102,68 +88,34 @@ impl IdAllocator {
         &self.slots[index % self.slots.len()]
     }
 
-    /// Draws up to `want` ids from the pool (recycled ids first, then fresh
-    /// ones) into `into`. Returns how many were obtained.
-    fn refill(pool: &mut IdPool, want: usize, into: &mut Vec<u64>) -> usize {
-        let mut got = 0;
-        while got < want {
-            if let Some(id) = pool.recycled.pop() {
-                into.push(id);
-                got += 1;
-                continue;
-            }
-            if pool.end.is_some_and(|end| pool.next >= end) {
-                break;
-            }
-            into.push(pool.next);
-            pool.next += 1;
-            got += 1;
+    /// Issues one id from the pool: a recycled one if any, else a fresh one.
+    fn take(pool: &mut IdPool) -> u64 {
+        if let Some(id) = pool.recycled.pop() {
+            return id;
         }
-        got
+        let id = pool.next;
+        pool.next += 1;
+        id
     }
 
-    /// Allocates one id, or `None` if the bounded id space is exhausted
-    /// (every unissued and recycled id is in use).
-    pub fn alloc(&self) -> Option<u64> {
+    /// Allocates one id. The id space is unbounded, so this never fails.
+    pub fn alloc(&self) -> u64 {
         if self.batch == 1 {
             // Legacy discipline: straight off the monotone counter.
-            let mut pool = self.pool.lock();
-            let mut one = Vec::with_capacity(1);
-            return (Self::refill(&mut pool, 1, &mut one) == 1).then(|| one[0]);
+            return Self::take(&mut self.pool.lock());
         }
         let mut slot = self.slot().lock();
         if let Some(id) = slot.ready.pop() {
-            return Some(id);
+            return id;
         }
+        // Refill the cache with `batch` ids, recycled first, and hand out
+        // the last one drawn.
         let mut pool = self.pool.lock();
-        if Self::refill(&mut pool, self.batch, &mut slot.ready) == 0 {
-            // The pool is dry, but another hart's cache may be hoarding
-            // ready ids: reclaim them all so exhaustion means *globally*
-            // exhausted, not unluckily sharded. The other slots rank equal
-            // to ours, so they are drained after our guards drop.
-            drop(pool);
-            drop(slot);
-            let mut reclaimed = false;
-            for other in &self.slots {
-                let drained: Vec<u64> = std::mem::take(&mut other.lock().ready);
-                if !drained.is_empty() {
-                    reclaimed = true;
-                    self.pool.lock().recycled.extend(drained);
-                }
-            }
-            if !reclaimed {
-                return None;
-            }
-            let mut slot = self.slot().lock();
-            let mut pool = self.pool.lock();
-            if Self::refill(&mut pool, self.batch, &mut slot.ready) == 0 {
-                return None;
-            }
-            drop(pool);
-            return slot.ready.pop();
+        for _ in 1..self.batch {
+            let id = Self::take(&mut pool);
+            slot.ready.push(id);
         }
-        drop(pool);
-        slot.ready.pop()
+        Self::take(&mut pool)
     }
 
     /// Returns `id` to the allocator. In legacy mode (`batch == 1`) the id
@@ -191,43 +143,11 @@ mod tests {
     #[test]
     fn legacy_mode_is_the_monotone_counter() {
         let alloc = IdAllocator::new(0x1000, 1);
-        assert_eq!(alloc.alloc(), Some(0x1000));
-        assert_eq!(alloc.alloc(), Some(0x1001));
+        assert_eq!(alloc.alloc(), 0x1000);
+        assert_eq!(alloc.alloc(), 0x1001);
         alloc.free(0x1000);
         // Freed ids are discarded: the next id is still fresh.
-        assert_eq!(alloc.alloc(), Some(0x1002));
-    }
-
-    #[test]
-    fn bounded_pool_exhausts_and_batched_refill_recovers_frees() {
-        let alloc = IdAllocator::bounded(100, Some(4), 2);
-        let mut taken: Vec<u64> = (0..4).map(|_| alloc.alloc().expect("within capacity")).collect();
-        taken.sort_unstable();
-        assert_eq!(taken, vec![100, 101, 102, 103]);
-        assert_eq!(alloc.alloc(), None, "capacity 4 means exactly 4 live ids");
-        // Freeing re-enables allocation through the recycle path.
-        alloc.free(101);
-        assert_eq!(alloc.alloc(), Some(101));
-        assert_eq!(alloc.alloc(), None);
-    }
-
-    #[test]
-    fn exhaustion_reclaims_ids_stranded_in_other_caches() {
-        // Batch 3 over capacity 3: the first alloc pulls all three ids into
-        // this thread's cache. Free two, exhaust, and allocation must still
-        // find the cached ids rather than reporting a dry pool.
-        let alloc = IdAllocator::bounded(7, Some(3), 3);
-        let a = alloc.alloc().expect("first");
-        let b = alloc.alloc().expect("second");
-        let c = alloc.alloc().expect("third");
-        assert_eq!(alloc.alloc(), None);
-        alloc.free(b);
-        alloc.free(c);
-        assert!(alloc.alloc().is_some());
-        assert!(alloc.alloc().is_some());
-        assert_eq!(alloc.alloc(), None);
-        alloc.free(a);
-        assert_eq!(alloc.alloc(), Some(a));
+        assert_eq!(alloc.alloc(), 0x1002);
     }
 
     #[test]
@@ -243,7 +163,7 @@ mod tests {
                     let id = live.remove((step as usize * 7) % live.len());
                     alloc.free(id);
                 } else {
-                    let id = alloc.alloc().expect("unbounded");
+                    let id = alloc.alloc();
                     out.push(id);
                     live.push(id);
                 }
@@ -277,7 +197,7 @@ mod tests {
                         assert!(live.lock().unwrap().remove(&id), "freed id was not live");
                         alloc.free(id);
                     } else {
-                        let id = alloc.alloc().expect("unbounded");
+                        let id = alloc.alloc();
                         assert!(
                             live.lock().unwrap().insert(id),
                             "id {id} handed to two harts at once"

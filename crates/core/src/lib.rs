@@ -23,9 +23,8 @@
 //!   (Section V-A) plus a global-lock build for the ablation study
 //!   ([`monitor::LockingMode`]), backed by a documented lock hierarchy with
 //!   a debug-build order checker ([`lockorder`]) and a resource map sharded
-//!   for true multi-hart parallelism ([`resource::ShardedResourceMap`]), with
-//!   an epoch-based non-blocking read-side for the lookup tables ([`epoch`])
-//!   and per-hart batched id allocation ([`idalloc`]).
+//!   for true multi-hart parallelism ([`resource::ShardedResourceMap`]), and
+//!   per-hart batched id allocation ([`idalloc`]).
 //!
 //! The monitor is written against the platform traits of `sanctorum-hal`;
 //! the `sanctorum-sanctum` and `sanctorum-keystone` crates bind it to the
@@ -63,7 +62,6 @@ pub mod attestation;
 pub mod boot;
 pub mod dispatch;
 pub mod enclave;
-pub mod epoch;
 pub mod error;
 pub mod idalloc;
 pub mod lockorder;

@@ -13,10 +13,8 @@
 //! | 5    | audit cache |
 //! | 10+k | resource shard *k* (shards acquired in ascending *k*) |
 //! | 30   | enclave table |
-//! | 34   | enclave-table epoch cell (snapshot publish / retire) |
 //! | 40   | one `EnclaveMeta` |
 //! | 50   | thread table |
-//! | 54   | thread-table epoch cell (snapshot publish / retire) |
 //! | 55   | one per-hart id-cache slot |
 //! | 56   | the shared id pool |
 //! | 60   | one `ThreadMeta` |
@@ -29,8 +27,8 @@
 //! | 110  | verifier challenge DRBG |
 //! | 112  | one verifier challenge shard |
 //! | 113  | verifier writer mutex (serializes trust / chain-cache publishes) |
-//! | 114  | verifier trust-state epoch cell (roots / revocation / measurements) |
-//! | 118  | verifier chain-cache epoch cell |
+//! | 114  | verifier trust state, `RwLock<Arc<_>>` (roots / revocation / measurements) |
+//! | 118  | verifier chain cache, `RwLock<Arc<_>>` |
 //! | 120  | one verifier session-pool shard |
 //!
 //! The verifier tier (ranks 110+) sits entirely above the monitor: a
@@ -73,17 +71,10 @@ pub mod rank {
     pub const RESOURCE_SHARD_BASE: u16 = 10;
     /// The enclave table (id → metadata handle).
     pub const ENCLAVE_TABLE: LockRank = LockRank(30);
-    /// The enclave table's epoch cell: writers publish a fresh snapshot
-    /// while still holding the table write lock (rank 30), so the epoch
-    /// domain sits directly above the table it mirrors.
-    pub const ENCLAVE_EPOCH: LockRank = LockRank(34);
     /// One enclave's metadata record.
     pub const ENCLAVE_META: LockRank = LockRank(40);
     /// The thread table (id → metadata handle).
     pub const THREAD_TABLE: LockRank = LockRank(50);
-    /// The thread table's epoch cell; same publish-under-the-write-lock
-    /// protocol as `ENCLAVE_EPOCH`.
-    pub const THREAD_EPOCH: LockRank = LockRank(54);
     /// One per-hart id-cache slot of the thread-id allocator. Only one slot
     /// is ever held at a time, and a refill then takes the pool above it.
     pub const ID_SLOT: LockRank = LockRank(55);
@@ -118,16 +109,19 @@ pub mod rank {
     /// One shard of the verifier's outstanding-challenge map. Only one
     /// shard is ever held at a time (a nonce names exactly one shard).
     pub const VERIFIER_CHALLENGE_SHARD: LockRank = LockRank(112);
-    /// The verifier's writer mutex: serializes every publish into the trust
-    /// and chain-cache epoch cells (both sit strictly above it, so a writer
-    /// rebuilds and publishes a snapshot while holding this mutex).
+    /// The verifier's writer mutex: serializes every publish of the trust
+    /// state and the chain cache (both sit strictly above it, so a writer
+    /// builds the next value while holding this mutex and only then takes
+    /// the write guard to swap it in).
     pub const VERIFIER_WRITER: LockRank = LockRank(113);
-    /// The verifier's trust-state epoch cell (manufacturer roots, trusted
-    /// measurements, revocation list). Read on every evidence check;
-    /// rotation / revocation publishes under `VERIFIER_WRITER`.
-    pub const VERIFIER_TRUST_EPOCH: LockRank = LockRank(114);
-    /// The verifier's chain-cache epoch cell (validated certificate chains).
-    pub const VERIFIER_CHAIN_EPOCH: LockRank = LockRank(118);
+    /// The verifier's trust state (manufacturer roots, trusted measurements,
+    /// revocation list), an `RwLock<Arc<_>>`. Every evidence check clones
+    /// the `Arc` under a read guard; rotation / revocation swap it under
+    /// `VERIFIER_WRITER`.
+    pub const VERIFIER_TRUST: LockRank = LockRank(114);
+    /// The verifier's chain cache (validated certificate chains), an
+    /// `RwLock<Arc<_>>` with the same load / swap protocol.
+    pub const VERIFIER_CHAIN_CACHE: LockRank = LockRank(118);
     /// One shard of a verifier-side session pool. Above the whole verify
     /// path: a session is filed strictly after every trust/chain structure
     /// has been consulted and released.
@@ -213,25 +207,6 @@ mod checker {
 }
 
 use checker::RankToken;
-
-/// RAII witness that the current thread logically "holds" `rank` — the hook
-/// lock-free structures (the epoch cells, the id allocator's internals) use
-/// to participate in the same debug-build hierarchy checking as the ordered
-/// locks, even though their synchronization is atomics rather than a mutex.
-/// Dropping the guard pops the rank from the thread's shadow stack.
-#[derive(Debug)]
-pub(crate) struct RankGuard {
-    _token: RankToken,
-}
-
-/// Records `rank` as held on this thread until the returned guard drops,
-/// panicking (debug builds) if any currently held rank is ≥ `rank` — the
-/// same rule [`OrderedMutex::lock`] enforces.
-pub(crate) fn hold(rank: LockRank) -> RankGuard {
-    RankGuard {
-        _token: checker::acquire(rank),
-    }
-}
 
 /// A [`parking_lot::Mutex`] that participates in the monitor's lock order:
 /// every acquisition (blocking *and* try) is checked against the thread's

@@ -25,7 +25,6 @@
 use crate::api::{CallOutcome, SmApi, SmCall};
 use crate::boot::SmIdentity;
 use crate::enclave::{EnclaveLifecycle, EnclaveMeta, PhysWindow};
-use crate::epoch::EpochCell;
 use crate::error::{SmError, SmResult};
 use crate::idalloc::IdAllocator;
 use crate::lockorder::{
@@ -202,18 +201,8 @@ struct SmState {
     /// through this table but only lifecycle calls mutate it, so lookups
     /// take shared read locks and proceed in parallel across harts.
     enclaves: OrderedRwLock<BTreeMap<EnclaveId, EnclaveHandle>>,
-    /// Epoch-published snapshot of the enclave table (rank `ENCLAVE_EPOCH`):
-    /// readers resolve ids through [`EpochCell::load`] and never block on a
-    /// lifecycle call holding the table write lock. Writers publish a new
-    /// snapshot *while still holding* the `enclaves` write lock (which
-    /// serializes publishes) and *before* bumping `enclaves_generation`, so
-    /// the audit's read-generation-first convention stays conservative.
-    enclave_epoch: EpochCell<BTreeMap<EnclaveId, EnclaveHandle>>,
     /// Read-mostly (rank `THREAD_TABLE`), same pattern as the enclave table.
     threads: OrderedRwLock<BTreeMap<ThreadId, ThreadHandle>>,
-    /// Epoch-published snapshot of the thread table (rank `THREAD_EPOCH`),
-    /// same protocol as `enclave_epoch`.
-    thread_epoch: EpochCell<BTreeMap<ThreadId, ThreadHandle>>,
     /// Which enclave thread currently occupies each core (rank `OCCUPANCY`).
     /// Read-mostly (dispatch probes it on every event; only enter/exit/AEX
     /// write).
@@ -668,9 +657,7 @@ impl SecurityMonitor {
             state: SmState {
                 resources,
                 enclaves: OrderedRwLock::new(rank::ENCLAVE_TABLE, BTreeMap::new()),
-                enclave_epoch: EpochCell::new(rank::ENCLAVE_EPOCH, BTreeMap::new()),
                 threads: OrderedRwLock::new(rank::THREAD_TABLE, BTreeMap::new()),
-                thread_epoch: EpochCell::new(rank::THREAD_EPOCH, BTreeMap::new()),
                 core_occupancy: OrderedRwLock::new(rank::OCCUPANCY, BTreeMap::new()),
                 tids: IdAllocator::new(0x1000, id_batch),
                 live_enclaves: AtomicU64::new(0),
@@ -776,11 +763,9 @@ impl SecurityMonitor {
     }
 
     fn lock_enclave(&self, eid: EnclaveId) -> SmResult<EnclaveHandle> {
-        // Epoch read-side: resolve through the published snapshot, never
-        // blocking on a lifecycle call that holds the table write lock.
         self.state
-            .enclave_epoch
-            .load()
+            .enclaves
+            .read()
             .get(&eid)
             .cloned()
             .ok_or(SmError::UnknownEnclave(eid))
@@ -788,26 +773,11 @@ impl SecurityMonitor {
 
     fn lock_thread(&self, tid: ThreadId) -> SmResult<ThreadHandle> {
         self.state
-            .thread_epoch
-            .load()
+            .threads
+            .read()
             .get(&tid)
             .cloned()
             .ok_or(SmError::UnknownThread(tid))
-    }
-
-    /// Publishes the enclave table's current contents as a new epoch
-    /// snapshot. Must be called *while still holding* the `enclaves` write
-    /// lock (that lock serializes publishers) and *before* the matching
-    /// `touch_enclave_table`, so a reader of the bumped generation always
-    /// sees at least the published snapshot.
-    fn publish_enclaves(&self, table: &BTreeMap<EnclaveId, EnclaveHandle>) {
-        self.state.enclave_epoch.publish(Arc::new(table.clone()));
-    }
-
-    /// Thread-table counterpart of [`Self::publish_enclaves`]; same
-    /// holding-the-write-lock / publish-before-touch contract.
-    fn publish_threads(&self, table: &BTreeMap<ThreadId, ThreadHandle>) {
-        self.state.thread_epoch.publish(Arc::new(table.clone()));
     }
 
     /// Acquires an object lock following the configured locking discipline:
@@ -946,15 +916,6 @@ impl SecurityMonitor {
         self.state.quarantine.lock().iter().copied().collect()
     }
 
-    /// Retired epoch snapshots not yet reclaimed, summed across the enclave
-    /// and thread table epochs. [`SecurityMonitor::audit`] quiesces both
-    /// epochs, so at a quiescent barrier (no concurrent readers) an audit
-    /// leaves this at zero — the explorer checks exactly that, pinning the
-    /// epoch read-side against unbounded retire-list growth.
-    pub fn epoch_retired_len(&self) -> usize {
-        self.state.enclave_epoch.retired_len() + self.state.thread_epoch.retired_len()
-    }
-
     /// Parks `region` in the quarantine set (stays `Blocked`; `clean` and
     /// `grant` refuse it with [`SmError::Again`] until
     /// [`SecurityMonitor::recover`] scrubs it successfully). Legal with the
@@ -996,10 +957,6 @@ impl SecurityMonitor {
             }
         }
         report.quarantine_remaining = self.state.quarantine.lock().len();
-        // Recovery is a quiescent point by definition: drain the epochs the
-        // crashed call (and the replay above) retired.
-        self.state.enclave_epoch.quiesce();
-        self.state.thread_epoch.quiesce();
         report
     }
 
@@ -1009,7 +966,7 @@ impl SecurityMonitor {
     fn replay_entry(&self, entry: JournalEntry) {
         match entry {
             JournalEntry::CreateEnclave { eid, regions } => {
-                if self.state.enclave_epoch.load().contains_key(&eid) {
+                if self.state.enclaves.read().contains_key(&eid) {
                     // The table insert is the commit point; past it the
                     // create fully happened and there is nothing to undo.
                     return;
@@ -1087,7 +1044,7 @@ impl SecurityMonitor {
     /// blocking locks and skips validation — the crashed call already passed
     /// it.
     fn redo_delete(&self, eid: EnclaveId) {
-        let handle = self.state.enclave_epoch.load().get(&eid).cloned();
+        let handle = self.state.enclaves.read().get(&eid).cloned();
         let Some(enclave) = handle else {
             // The table removal already happened; the post-removal sweep may
             // not have. Anything still owned by the dead id gets re-parked.
@@ -1118,12 +1075,10 @@ impl SecurityMonitor {
         let owned_tids: Vec<ThreadId> = enclave.lock().threads.clone();
         let removed_tids: Vec<ThreadId> = {
             let mut threads = self.state.threads.write();
-            let removed = owned_tids
+            owned_tids
                 .into_iter()
                 .filter(|tid| threads.remove(tid).is_some())
-                .collect();
-            self.publish_threads(&threads);
-            removed
+                .collect()
         };
         for tid in removed_tids {
             self.state.tids.free(tid);
@@ -1150,7 +1105,7 @@ impl SecurityMonitor {
         // the API path: ids are recycled physical addresses).
         let mut purged_any = false;
         {
-            let table = self.state.enclave_epoch.load();
+            let table = self.state.enclaves.read();
             for (other_id, other) in table.iter() {
                 if *other_id == eid {
                     continue;
@@ -1189,11 +1144,7 @@ impl SecurityMonitor {
                 self.touch_mail();
             }
         }
-        {
-            let mut table = self.state.enclaves.write();
-            table.remove(&eid);
-            self.publish_enclaves(&table);
-        }
+        self.state.enclaves.write().remove(&eid);
         self.state.live_enclaves.fetch_sub(1, Ordering::Relaxed);
         self.touch_enclave_table();
     }
@@ -1280,10 +1231,9 @@ impl SecurityMonitor {
         meta.measurement()
     }
 
-    /// Returns the ids of all live enclaves (diagnostic; epoch snapshot,
-    /// never blocks on a lifecycle call).
+    /// Returns the ids of all live enclaves (diagnostic; shared read lock).
     pub fn enclaves(&self) -> Vec<EnclaveId> {
-        self.state.enclave_epoch.load().keys().copied().collect()
+        self.state.enclaves.read().keys().copied().collect()
     }
 
     /// Returns the number of live enclaves from the relaxed counter — the
@@ -1320,11 +1270,7 @@ impl SecurityMonitor {
 
         let enclaves_gen = self.state.enclaves_generation.load(Ordering::Relaxed);
         if cache.enclaves_gen != enclaves_gen {
-            // Epoch read-side: the audit walks the published snapshot and
-            // never blocks a lifecycle call. The generation was read before
-            // the load, so a publish racing this walk only makes the data
-            // newer than the recorded generation (conservative rebuild).
-            let table = self.state.enclave_epoch.load();
+            let table = self.state.enclaves.read();
             cache.enclaves.retain(|eid, _| table.contains_key(eid));
             for (eid, enclave) in table.iter() {
                 let meta = enclave.lock();
@@ -1377,12 +1323,6 @@ impl SecurityMonitor {
         }
         generations.quarantine = cache.quarantine_gen;
 
-        // Audits run at the explorer's quiescent barriers, so this is where
-        // epochs retired by table publishes drain (snapshots still held by a
-        // straggling reader simply survive to the next audit).
-        self.state.enclave_epoch.quiesce();
-        self.state.thread_epoch.quiesce();
-
         AuditSnapshot {
             resources: Arc::clone(&cache.resources),
             enclaves: cache.enclaves_vec.clone(),
@@ -1403,8 +1343,8 @@ impl SecurityMonitor {
         let enclaves_gen = self.state.enclaves_generation.load(Ordering::Relaxed);
         let enclaves = self
             .state
-            .enclave_epoch
-            .load()
+            .enclaves
+            .read()
             .values()
             .map(|enclave| Arc::new(Self::enclave_audit(&enclave.lock())))
             .collect();
@@ -1492,10 +1432,9 @@ impl SecurityMonitor {
         Ok(self.lock_thread(tid)?.lock().clone())
     }
 
-    /// Returns the ids of all live threads (diagnostic; no metadata cloned;
-    /// epoch snapshot, never blocks on a lifecycle call).
+    /// Returns the ids of all live threads (diagnostic; no metadata cloned).
     pub fn thread_ids(&self) -> Vec<ThreadId> {
-        self.state.thread_epoch.load().keys().copied().collect()
+        self.state.threads.read().keys().copied().collect()
     }
 
     /// Returns a thread's current state machine position without cloning the
@@ -1686,7 +1625,7 @@ impl SmApi for SecurityMonitor {
             }
             windows.sort_by_key(|w| w.base);
             let eid = EnclaveId::new(windows[0].base.as_u64());
-            if self.state.enclave_epoch.load().contains_key(&eid) {
+            if self.state.enclaves.read().contains_key(&eid) {
                 return Err(SmError::InvalidState {
                     reason: "an enclave already uses this memory",
                 });
@@ -1753,13 +1692,10 @@ impl SmApi for SecurityMonitor {
                 // physical addresses and get reused after delete, so a recreated
                 // enclave must never alias a stale cached audit record.
                 self.touch_enclave(&mut meta);
-                {
-                    let mut table = self.state.enclaves.write();
-                    table.insert(eid, Arc::new(OrderedMutex::new(rank::ENCLAVE_META, meta)));
-                    // Publish while still holding the write lock (it
-                    // serializes publishers) and before the generation bump.
-                    self.publish_enclaves(&table);
-                }
+                self.state
+                    .enclaves
+                    .write()
+                    .insert(eid, Arc::new(OrderedMutex::new(rank::ENCLAVE_META, meta)));
                 // The insert consumes the slot reserved at admission.
                 slot.committed = true;
                 self.touch_enclave_table();
@@ -1904,12 +1840,9 @@ impl SmApi for SecurityMonitor {
                         resource: "thread metadata slots",
                     });
                 }
-                let tid = self.state.tids.alloc().ok_or(SmError::OutOfResources {
-                    resource: "thread ids",
-                })?;
+                let tid = self.state.tids.alloc();
                 let thread = ThreadMeta::loaded(tid, eid, entry_pc, fault_handler_pc);
                 threads.insert(tid, Arc::new(OrderedMutex::new(rank::THREAD_META, thread)));
-                self.publish_threads(&threads);
                 tid
             };
             self.touch_threads();
@@ -1971,7 +1904,7 @@ impl SmApi for SecurityMonitor {
                 });
             }
             let owned_tids: Vec<ThreadId> = {
-                let threads = self.state.thread_epoch.load();
+                let threads = self.state.threads.read();
                 for tid in &meta.threads {
                     if let Some(thread) = threads.get(tid) {
                         if matches!(thread.lock().state, ThreadState::Running { .. }) {
@@ -1996,12 +1929,10 @@ impl SmApi for SecurityMonitor {
                 // removal fails on the thread lookup.
                 let removed_tids: Vec<ThreadId> = {
                     let mut threads = self.state.threads.write();
-                    let removed: Vec<ThreadId> = owned_tids
+                    owned_tids
                         .into_iter()
                         .filter(|tid| threads.remove(tid).is_some())
-                        .collect();
-                    self.publish_threads(&threads);
-                    removed
+                        .collect()
                 };
                 // The slots are gone from the table; their ids return to the
                 // allocator (per-hart cache first, spilling to the pool).
@@ -2056,7 +1987,7 @@ impl SmApi for SecurityMonitor {
                 // the ledger is settled afterwards on its own.
                 let mut purged_any = false;
                 {
-                    let table = self.state.enclave_epoch.load();
+                    let table = self.state.enclaves.read();
                     for (other_id, other) in table.iter() {
                         if *other_id == eid {
                             continue;
@@ -2099,11 +2030,7 @@ impl SmApi for SecurityMonitor {
                         self.touch_mail();
                     }
                 }
-                {
-                    let mut table = self.state.enclaves.write();
-                    table.remove(&eid);
-                    self.publish_enclaves(&table);
-                }
+                self.state.enclaves.write().remove(&eid);
                 self.state.live_enclaves.fetch_sub(1, Ordering::Relaxed);
                 self.touch_enclave_table();
                 // Post-removal sweep: a concurrent `grant_resource` may have
@@ -2293,7 +2220,7 @@ impl SmApi for SecurityMonitor {
             // check fails here — or removes it afterwards and catches this
             // grant in its post-removal sweep.
             if let DomainKind::Enclave(eid) = new_owner {
-                if !self.state.enclave_epoch.load().contains_key(&eid) {
+                if !self.state.enclaves.read().contains_key(&eid) {
                     return Err(SmError::UnknownEnclave(eid));
                 }
             }
@@ -2482,9 +2409,7 @@ impl SmApi for SecurityMonitor {
                     resource: "thread metadata slots",
                 });
             }
-            let tid = self.state.tids.alloc().ok_or(SmError::OutOfResources {
-                resource: "thread ids",
-            })?;
+            let tid = self.state.tids.alloc();
             threads.insert(
                 tid,
                 Arc::new(OrderedMutex::new(
@@ -2492,7 +2417,6 @@ impl SmApi for SecurityMonitor {
                     ThreadMeta::available(tid, entry_pc),
                 )),
             );
-            self.publish_threads(&threads);
             drop(threads);
             self.touch_threads();
             Ok(tid)
@@ -2511,12 +2435,7 @@ impl SmApi for SecurityMonitor {
                     });
                 }
             }
-            let removed = {
-                let mut threads = self.state.threads.write();
-                let removed = threads.remove(&tid).is_some();
-                self.publish_threads(&threads);
-                removed
-            };
+            let removed = self.state.threads.write().remove(&tid).is_some();
             if removed {
                 self.state.tids.free(tid);
             }

@@ -29,14 +29,6 @@
 //! count), so transactions on different resources take disjoint locks and
 //! only transactions on the *same* shard ever contend. See the "Locking
 //! discipline" section of ARCHITECTURE.md.
-//!
-//! On top of the shards sits a **seqlock mirror** (`SeqMirror`): a fixed
-//! array of per-region `(seq, tag, owner)` atomic triples updated by the
-//! `set_state` choke point under the shard lock and read lock-free by
-//! [`ShardedResourceMap::state`]. A reader that observes an odd sequence
-//! word or a sequence mismatch around its field reads — a writer was
-//! mid-publish — retries into the ordinary locked path, so the fast path
-//! can serve stale-but-consistent state only, never a torn record.
 
 use crate::error::{SmError, SmResult};
 use crate::lockorder::{rank, LockRank, OrderedMutex};
@@ -44,8 +36,7 @@ use sanctorum_hal::domain::{CoreId, DomainKind, EnclaveId};
 use sanctorum_hal::isolation::RegionId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one isolable machine resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -77,125 +68,8 @@ impl ResourceState {
     }
 }
 
-/// Number of region slots in the seqlock mirror. Regions with indices at
-/// or beyond this always use the locked path; the simulated machines top
-/// out far below it.
-pub const SEQ_MIRROR_ENTRIES: usize = 1024;
-
-// Mirror encoding: `tag` says which Fig. 2 state the region is in (0 marks
-// a slot no `set_state` has ever published — unregistered, or attached to a
-// map that predates the mirror — and always falls back to the locked path);
-// `owner` encodes the domain for Owned/Blocked.
-const TAG_OWNED: u64 = 1;
-const TAG_BLOCKED: u64 = 2;
-const TAG_AVAILABLE: u64 = 3;
-const OWNER_UNTRUSTED: u64 = 1;
-const OWNER_SM: u64 = 2;
-/// High bit marks an enclave owner; the low 63 bits carry the enclave id.
-/// Enclave ids are small monotone counters (`idalloc` starts at 0x1000),
-/// so the bit never collides with a real id.
-const OWNER_ENCLAVE_BIT: u64 = 1 << 63;
-
-fn encode_domain(domain: DomainKind) -> u64 {
-    match domain {
-        DomainKind::Untrusted => OWNER_UNTRUSTED,
-        DomainKind::SecurityMonitor => OWNER_SM,
-        DomainKind::Enclave(eid) => OWNER_ENCLAVE_BIT | eid.as_u64(),
-    }
-}
-
-fn decode_domain(word: u64) -> Option<DomainKind> {
-    match word {
-        OWNER_UNTRUSTED => Some(DomainKind::Untrusted),
-        OWNER_SM => Some(DomainKind::SecurityMonitor),
-        w if w & OWNER_ENCLAVE_BIT != 0 => {
-            Some(DomainKind::Enclave(EnclaveId::new(w & !OWNER_ENCLAVE_BIT)))
-        }
-        _ => None,
-    }
-}
-
-/// One region's seqlock record: a sequence word (odd while a writer is
-/// mid-publish) bracketing a `(tag, owner)` state encoding.
-#[derive(Debug, Default)]
-struct SeqEntry {
-    seq: AtomicU64,
-    tag: AtomicU64,
-    owner: AtomicU64,
-}
-
-impl SeqEntry {
-    /// Publishes `state`. Callers are serialized per entry by the shard lock
-    /// (all mutations funnel through `ResourceMap::set_state`), so the two
-    /// sequence bumps never interleave with another writer's.
-    fn record(&self, state: ResourceState) {
-        let (tag, owner) = match state {
-            ResourceState::Owned(d) => (TAG_OWNED, encode_domain(d)),
-            ResourceState::Blocked(d) => (TAG_BLOCKED, encode_domain(d)),
-            ResourceState::Available => (TAG_AVAILABLE, 0),
-        };
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed); // odd: publish open
-        fence(Ordering::Release); // field stores cannot hoist above the odd mark
-        self.tag.store(tag, Ordering::Relaxed);
-        self.owner.store(owner, Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release); // even: publish closed
-    }
-
-    /// Optimistic read: `None` means "retry into the locked path" — the slot
-    /// was never published, or a writer raced the field reads.
-    fn read(&self) -> Option<ResourceState> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 == 1 {
-            return None;
-        }
-        let tag = self.tag.load(Ordering::Relaxed);
-        let owner = self.owner.load(Ordering::Relaxed);
-        fence(Ordering::Acquire); // field loads cannot sink below the re-check
-        if self.seq.load(Ordering::Relaxed) != s1 {
-            return None;
-        }
-        match tag {
-            TAG_OWNED => Some(ResourceState::Owned(decode_domain(owner)?)),
-            TAG_BLOCKED => Some(ResourceState::Blocked(decode_domain(owner)?)),
-            TAG_AVAILABLE => Some(ResourceState::Available),
-            _ => None,
-        }
-    }
-}
-
-/// The lock-free read-side mirror of region states, shared by every shard
-/// of a [`ShardedResourceMap`] (one writer per entry at a time — the shard
-/// lock serializes them) and read by the hot `state` queries without
-/// touching any shard lock.
-#[derive(Debug)]
-struct SeqMirror {
-    entries: Vec<SeqEntry>,
-}
-
-impl SeqMirror {
-    fn new() -> Self {
-        Self {
-            entries: (0..SEQ_MIRROR_ENTRIES).map(|_| SeqEntry::default()).collect(),
-        }
-    }
-
-    /// Publishes `state` for region `index`; out-of-range regions are simply
-    /// not mirrored (their readers use the locked path).
-    fn record(&self, index: usize, state: ResourceState) {
-        if let Some(entry) = self.entries.get(index) {
-            entry.record(state);
-        }
-    }
-
-    /// Optimistic read of region `index`; `None` falls back to the lock.
-    fn read(&self, index: usize) -> Option<ResourceState> {
-        self.entries.get(index)?.read()
-    }
-}
-
 /// The resource-ownership map maintained by the SM.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ResourceMap {
     /// Core states, indexed by [`CoreId`]; `None` = never registered.
     cores: Vec<Option<ResourceState>>,
@@ -211,28 +85,6 @@ pub struct ResourceMap {
     registered: usize,
     /// Bumped on every mutation; lets snapshot consumers detect "no change".
     generation: u64,
-    /// The seqlock mirror this map publishes region transitions to, when it
-    /// is a shard of a [`ShardedResourceMap`]. Skipped by serde and dropped
-    /// by `Clone`: a deserialized or cloned map is a detached snapshot and
-    /// must not write into the live read-side.
-    #[serde(skip)]
-    mirror: Option<Arc<SeqMirror>>,
-}
-
-impl Clone for ResourceMap {
-    fn clone(&self) -> Self {
-        Self {
-            cores: self.cores.clone(),
-            regions: self.regions.clone(),
-            by_owner: self.by_owner.clone(),
-            region_enclave: self.region_enclave.clone(),
-            registered: self.registered,
-            generation: self.generation,
-            // A clone is a detached snapshot; it must not publish into the
-            // original map's lock-free read-side.
-            mirror: None,
-        }
-    }
 }
 
 impl ResourceMap {
@@ -287,20 +139,8 @@ impl ResourceMap {
                 Some(DomainKind::Enclave(eid)) => Some(eid),
                 _ => None,
             };
-            // Publish to the lock-free read-side while still holding the
-            // shard lock (our caller's), so per-entry writers never race.
-            if let Some(mirror) = &self.mirror {
-                mirror.record(region.index(), state);
-            }
         }
         self.generation += 1;
-    }
-
-    /// Attaches the shared seqlock mirror this map publishes region
-    /// transitions to. Called once per shard by [`ShardedResourceMap::new`],
-    /// before the map is ever mutated.
-    fn attach_mirror(&mut self, mirror: Arc<SeqMirror>) {
-        self.mirror = Some(mirror);
     }
 
     /// Registers a resource with an initial owner (used at boot: all cores
@@ -535,9 +375,6 @@ pub struct ShardedResourceMap {
     /// multi-shard transactions acquire shards in ascending index order.
     shards: Vec<OrderedMutex<ResourceMap>>,
     generation: AtomicU64,
-    /// The lock-free region-state mirror every shard publishes into; read
-    /// by [`Self::state`] without touching any shard lock.
-    mirror: Arc<SeqMirror>,
 }
 
 impl Default for ShardedResourceMap {
@@ -549,17 +386,16 @@ impl Default for ShardedResourceMap {
 impl ShardedResourceMap {
     /// Creates an empty sharded map.
     pub fn new() -> Self {
-        let mirror = Arc::new(SeqMirror::new());
         Self {
             shards: (0..RESOURCE_SHARDS)
                 .map(|k| {
-                    let mut map = ResourceMap::new();
-                    map.attach_mirror(Arc::clone(&mirror));
-                    OrderedMutex::new(LockRank(rank::RESOURCE_SHARD_BASE + k as u16), map)
+                    OrderedMutex::new(
+                        LockRank(rank::RESOURCE_SHARD_BASE + k as u16),
+                        ResourceMap::new(),
+                    )
                 })
                 .collect(),
             generation: AtomicU64::new(0),
-            mirror,
         }
     }
 
@@ -592,23 +428,13 @@ impl ShardedResourceMap {
         self.touch();
     }
 
-    /// Returns the state of one resource. Region queries first try the
-    /// lock-free seqlock mirror — the common case on the audit/authorize hot
-    /// path — and fall back to locking the region's shard when the optimistic
-    /// read loses a race with a writer (or the region is unmirrored:
-    /// out-of-range index, or never registered). Core queries always use the
-    /// shard lock; cores are few and cold.
+    /// Returns the state of one resource, locking only its shard.
     ///
     /// # Errors
     ///
     /// Returns [`SmError::UnknownResource`] if the resource was never
     /// registered.
     pub fn state(&self, id: ResourceId) -> SmResult<ResourceState> {
-        if let ResourceId::Region(region) = id {
-            if let Some(state) = self.mirror.read(region.index()) {
-                return Ok(state);
-            }
-        }
         self.shard(id).lock().state(id)
     }
 
@@ -879,100 +705,6 @@ mod tests {
             map.recover_force(ResourceId::Region(RegionId::new(9)), ResourceState::Available),
             Err(SmError::UnknownResource)
         );
-    }
-
-    #[test]
-    fn seq_mirror_tracks_every_transition_through_the_fast_path() {
-        let map = ShardedResourceMap::new();
-        let region = RegionId::new(5);
-        let id = ResourceId::Region(region);
-        map.register(id, ResourceState::Owned(DomainKind::Untrusted));
-        // Each locked-path mutation must be visible through the lock-free
-        // read immediately after the shard lock drops.
-        assert_eq!(map.state(id).unwrap(), ResourceState::Owned(DomainKind::Untrusted));
-        map.shard(id).lock().block(DomainKind::Untrusted, id).unwrap();
-        assert_eq!(map.state(id).unwrap(), ResourceState::Blocked(DomainKind::Untrusted));
-        map.shard(id).lock().clean(DomainKind::Untrusted, id).unwrap();
-        assert_eq!(map.state(id).unwrap(), ResourceState::Available);
-        map.shard(id).lock().grant(DomainKind::Untrusted, id, enclave(7)).unwrap();
-        assert_eq!(map.state(id).unwrap(), ResourceState::Owned(enclave(7)));
-        // The fast path and the locked path agree.
-        assert_eq!(map.state(id).unwrap(), map.shard(id).lock().state(id).unwrap());
-    }
-
-    #[test]
-    fn seq_mirror_unregistered_and_out_of_range_regions_fall_back() {
-        let map = ShardedResourceMap::new();
-        // Never-registered region: tag 0 in the mirror, locked path reports
-        // the authoritative error.
-        assert_eq!(
-            map.state(ResourceId::Region(RegionId::new(3))),
-            Err(SmError::UnknownResource)
-        );
-        // A region beyond the mirror capacity is served by the shard lock.
-        let big = ResourceId::Region(RegionId::new(SEQ_MIRROR_ENTRIES as u32 + 5));
-        map.register(big, ResourceState::Available);
-        assert_eq!(map.state(big).unwrap(), ResourceState::Available);
-        // Cores never touch the mirror.
-        map.register(ResourceId::Core(CoreId::new(1)), ResourceState::Owned(DomainKind::Untrusted));
-        assert_eq!(
-            map.state(ResourceId::Core(CoreId::new(1))).unwrap(),
-            ResourceState::Owned(DomainKind::Untrusted)
-        );
-    }
-
-    #[test]
-    fn seq_mirror_clone_detaches_from_the_live_read_side() {
-        let map = ShardedResourceMap::new();
-        let id = ResourceId::Region(RegionId::new(2));
-        map.register(id, ResourceState::Owned(DomainKind::Untrusted));
-        // A cloned shard is a snapshot: mutating it must not leak into the
-        // shared mirror the live map's fast path reads.
-        let mut detached = map.shard(id).lock().clone();
-        detached.block(DomainKind::Untrusted, id).unwrap();
-        assert_eq!(
-            map.state(id).unwrap(),
-            ResourceState::Owned(DomainKind::Untrusted),
-            "clone mutation leaked into the live mirror"
-        );
-    }
-
-    #[test]
-    fn seq_mirror_readers_never_observe_a_torn_record() {
-        use std::sync::atomic::AtomicBool;
-        let map = Arc::new(ShardedResourceMap::new());
-        let id = ResourceId::Region(RegionId::new(4));
-        map.register(id, ResourceState::Available);
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut readers = Vec::new();
-        for _ in 0..3 {
-            let map = Arc::clone(&map);
-            let stop = Arc::clone(&stop);
-            readers.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    // Every observed state must be one the writer actually
-                    // published — a torn read would pair e.g. an Owned tag
-                    // with a stale owner word.
-                    match map.state(id).unwrap() {
-                        ResourceState::Available
-                        | ResourceState::Owned(DomainKind::Enclave(EnclaveId(9)))
-                        | ResourceState::Blocked(DomainKind::Enclave(EnclaveId(9))) => {}
-                        other => panic!("torn or invented state observed: {other:?}"),
-                    }
-                }
-            }));
-        }
-        for _ in 0..2000 {
-            let mut shard = map.shard(id).lock();
-            shard.grant(DomainKind::Untrusted, id, enclave(9)).unwrap();
-            shard.block(DomainKind::SecurityMonitor, id).unwrap();
-            shard.clean(DomainKind::Untrusted, id).unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        for reader in readers {
-            reader.join().expect("reader thread");
-        }
-        assert_eq!(map.state(id).unwrap(), ResourceState::Available);
     }
 
     #[test]

@@ -343,18 +343,6 @@ impl CheckedWorld {
             detail,
         };
 
-        // --- epoch retirement -----------------------------------------
-        // The audit above quiesced both table epochs, and the explorer is
-        // itself quiescent between steps (no concurrent reader can hold a
-        // retired snapshot), so the retire lists must have drained — any
-        // residue is a leak in the epoch reclamation accounting.
-        let retired = self.world.system.monitor.epoch_retired_len();
-        if retired != 0 {
-            return Err(fail(format!(
-                "{retired} retired epoch snapshots survived a quiescent audit"
-            )));
-        }
-
         // Equal generations certify equal monitor state, so the whole
         // SM-state check family can be skipped when no SM call mutated
         // anything this step (probes, rejected calls, pure guest execution).

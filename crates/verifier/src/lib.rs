@@ -16,9 +16,10 @@
 //! `SessionPool` take `&self` everywhere and are safe to drive from many
 //! threads at once — challenges and sessions live in index-interleaved
 //! shards under ranked locks, while the read-mostly trust state (manufacturer
-//! roots, revocation list, chain cache) flips atomically between epochs via
-//! `sanctorum_core::epoch::EpochCell`, so verification never blocks on a
-//! certificate rotation.
+//! roots, revocation list, chain cache) is an immutable `Arc` snapshot behind
+//! a ranked `RwLock`: a rotation builds the next snapshot off to the side and
+//! holds the write guard only to swap the `Arc`, so verification waits on a
+//! certificate rotation for no longer than that swap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

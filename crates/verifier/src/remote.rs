@@ -13,16 +13,16 @@
 //!   generations is evicted the next time its shard files a new one, with
 //!   evictions surfaced in [`VerifierStats`].
 //! * **Trust state** (accepted manufacturer roots, trusted measurements, the
-//!   device revocation list) is an [`EpochCell`] snapshot: every evidence
-//!   check reads it without blocking, while rotation and revocation build
-//!   the next epoch under the writer mutex and flip it atomically with
-//!   [`EpochCell::publish`].
+//!   device revocation list) is an immutable snapshot behind a ranked
+//!   `RwLock<Arc<_>>`: every evidence check clones the `Arc` under a brief
+//!   read guard, while rotation and revocation build the next snapshot under
+//!   the writer mutex and only take the write guard to swap the `Arc` in.
 //! * The **chain cache** (validated device/SM certificate chains) is a
-//!   second `EpochCell`: a hit skips both certificate verifications without
-//!   taking any lock; a miss verifies the chain and publishes the grown
+//!   second `RwLock<Arc<_>>`: a hit skips both certificate verifications
+//!   under one read guard; a miss verifies the chain and swaps in the grown
 //!   cache under the same writer mutex. Revoking a device or retiring a
-//!   root also purges the matching cache entries in the same publish, so a
-//!   stale cache can never resurrect a revoked chain.
+//!   root also purges the matching cache entries, so a stale cache can
+//!   never resurrect a revoked chain.
 //! * [`RemoteVerifier::verify_batch`] amortizes further: one trust-state
 //!   load for the whole batch, one chain validation per *distinct* chain in
 //!   the batch (evidence from the same machine shares its chain), and one
@@ -30,8 +30,7 @@
 
 use crate::session::SecureSession;
 use sanctorum_core::attestation::AttestationEvidence;
-use sanctorum_core::epoch::EpochCell;
-use sanctorum_core::lockorder::{rank, OrderedMutex};
+use sanctorum_core::lockorder::{rank, OrderedMutex, OrderedRwLock};
 use sanctorum_core::measurement::Measurement;
 use sanctorum_crypto::ct::ct_eq;
 use sanctorum_crypto::drbg::ChaChaDrbg;
@@ -109,7 +108,7 @@ pub struct VerifierStats {
     pub trust_epoch: u64,
 }
 
-/// Read-mostly trust state, swapped atomically as one epoch.
+/// Read-mostly trust state, swapped atomically as one snapshot.
 #[derive(Debug, Clone)]
 struct TrustState {
     /// Accepted manufacturer roots. More than one only mid-rotation: the
@@ -121,7 +120,7 @@ struct TrustState {
     /// Revoked device public keys (chain middles); evidence whose device
     /// certificate names one of these never verifies, cache or no cache.
     revoked_devices: BTreeSet<[u8; 32]>,
-    /// Epoch counter, bumped by every publish.
+    /// Version counter, bumped by every publish.
     epoch: u64,
 }
 
@@ -162,12 +161,13 @@ pub struct RemoteVerifier {
     drbg: OrderedMutex<ChaChaDrbg>,
     /// lock rank: rank::VERIFIER_CHALLENGE_SHARD (one shard at a time)
     challenge_shards: Vec<OrderedMutex<ChallengeShard>>,
-    /// Serializes all epoch publishes. lock rank: rank::VERIFIER_WRITER
+    /// Serializes all trust / chain-cache publishes. lock rank:
+    /// rank::VERIFIER_WRITER
     writer: OrderedMutex<()>,
-    /// lock rank: rank::VERIFIER_TRUST_EPOCH
-    trust: EpochCell<TrustState>,
-    /// lock rank: rank::VERIFIER_CHAIN_EPOCH
-    chain_cache: EpochCell<BTreeMap<[u8; 32], ChainEntry>>,
+    /// lock rank: rank::VERIFIER_TRUST
+    trust: OrderedRwLock<Arc<TrustState>>,
+    /// lock rank: rank::VERIFIER_CHAIN_CACHE
+    chain_cache: OrderedRwLock<Arc<BTreeMap<[u8; 32], ChainEntry>>>,
     /// Generation counter: one tick per issued challenge.
     generation: AtomicU64,
     /// TTL in generations beyond which an unconsumed challenge is evicted.
@@ -181,7 +181,7 @@ pub struct RemoteVerifier {
 
 impl fmt::Debug for RemoteVerifier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let trust = self.trust.load();
+        let trust = self.trust();
         write!(
             f,
             "RemoteVerifier {{ trust_epoch: {}, roots: {}, measurements: {}, revoked: {}, outstanding: {} }}",
@@ -208,16 +208,16 @@ impl RemoteVerifier {
                 .map(|_| OrderedMutex::new(rank::VERIFIER_CHALLENGE_SHARD, ChallengeShard::default()))
                 .collect(),
             writer: OrderedMutex::new(rank::VERIFIER_WRITER, ()),
-            trust: EpochCell::new(
-                rank::VERIFIER_TRUST_EPOCH,
-                TrustState {
+            trust: OrderedRwLock::new(
+                rank::VERIFIER_TRUST,
+                Arc::new(TrustState {
                     roots: vec![manufacturer_root],
                     measurements: trusted_measurements,
                     revoked_devices: BTreeSet::new(),
                     epoch: 0,
-                },
+                }),
             ),
-            chain_cache: EpochCell::new(rank::VERIFIER_CHAIN_EPOCH, BTreeMap::new()),
+            chain_cache: OrderedRwLock::new(rank::VERIFIER_CHAIN_CACHE, Arc::new(BTreeMap::new())),
             generation: AtomicU64::new(0),
             challenge_ttl: AtomicU64::new(DEFAULT_CHALLENGE_TTL),
             outstanding: AtomicUsize::new(0),
@@ -228,32 +228,40 @@ impl RemoteVerifier {
         }
     }
 
-    // ---- trust-state epochs -------------------------------------------------
+    // ---- trust-state publishes ----------------------------------------------
 
-    /// Rebuilds the trust state under the writer mutex and publishes it as
-    /// the next epoch. Readers mid-`verify` keep their snapshot; every
-    /// check that starts after the publish sees the new state.
+    /// The current trust snapshot (an `Arc` clone under a brief read guard).
+    fn trust(&self) -> Arc<TrustState> {
+        Arc::clone(&self.trust.read())
+    }
+
+    /// The current chain-cache snapshot (same protocol as [`Self::trust`]).
+    fn chains(&self) -> Arc<BTreeMap<[u8; 32], ChainEntry>> {
+        Arc::clone(&self.chain_cache.read())
+    }
+
+    /// Rebuilds the trust state under the writer mutex and swaps it in.
+    /// Readers mid-`verify` keep their snapshot; every check that starts
+    /// after the swap sees the new state.
     fn publish_trust(&self, mutate: impl FnOnce(&mut TrustState)) {
         let _writer = self.writer.lock();
-        let mut next = (*self.trust.load()).clone();
+        let mut next = (*self.trust()).clone();
         mutate(&mut next);
         next.epoch += 1;
-        self.trust.publish(Arc::new(next));
-        self.trust.quiesce();
+        *self.trust.write() = Arc::new(next);
     }
 
     /// Rebuilds the chain cache under the writer mutex, keeping only the
     /// entries `keep` approves.
     fn retain_chains(&self, keep: impl Fn(&ChainEntry) -> bool) {
         let _writer = self.writer.lock();
-        let current = self.chain_cache.load();
-        let next: BTreeMap<[u8; 32], ChainEntry> = current
+        let next: BTreeMap<[u8; 32], ChainEntry> = self
+            .chains()
             .iter()
             .filter(|(_, entry)| keep(entry))
             .map(|(fp, entry)| (*fp, *entry))
             .collect();
-        self.chain_cache.publish(Arc::new(next));
-        self.chain_cache.quiesce();
+        *self.chain_cache.write() = Arc::new(next);
     }
 
     /// Adds a measurement to the trusted set (next trust epoch).
@@ -288,13 +296,6 @@ impl RemoteVerifier {
         self.retain_chains(|entry| entry.device_key != device_key.to_bytes());
     }
 
-    /// Drops trust-state and chain-cache snapshots retired by past epoch
-    /// publishes that no reader still holds (callable from any thread; also
-    /// runs opportunistically on every publish).
-    pub fn quiesce(&self) -> usize {
-        self.trust.quiesce() + self.chain_cache.quiesce()
-    }
-
     // ---- stats --------------------------------------------------------------
 
     /// Number of challenges currently outstanding.
@@ -313,11 +314,11 @@ impl RemoteVerifier {
         VerifierStats {
             outstanding_challenges: self.outstanding.load(Ordering::Relaxed),
             chain_cache_hits: self.chain_cache_hits.load(Ordering::Relaxed),
-            chain_cache_entries: self.chain_cache.load().len(),
+            chain_cache_entries: self.chains().len(),
             evicted_challenges: self.evicted_challenges.load(Ordering::Relaxed),
             verified_sessions: self.verified_sessions.load(Ordering::Relaxed),
             rejected_evidence: self.rejected_evidence.load(Ordering::Relaxed),
-            trust_epoch: self.trust.load().epoch,
+            trust_epoch: self.trust().epoch,
         }
     }
 
@@ -465,9 +466,10 @@ impl RemoteVerifier {
             return Err(VerifyError::RevokedChain);
         }
         let fingerprint = Self::chain_fingerprint(evidence);
-        if let Some(entry) = self.chain_cache.load().get(&fingerprint) {
+        let cached = self.chain_cache.read().get(&fingerprint).copied();
+        if let Some(entry) = cached {
             self.chain_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*entry);
+            return Ok(entry);
         }
         let chain_ok = evidence.device_certificate.verify()
             && evidence.sm_certificate.verify()
@@ -487,17 +489,16 @@ impl RemoteVerifier {
         Ok(entry)
     }
 
-    /// Publishes newly validated chains into the cache (one epoch flip for
-    /// the whole slice). Re-checks revocation under the writer mutex so a
+    /// Publishes newly validated chains into the cache (one swap for the
+    /// whole slice). Re-checks revocation under the writer mutex so a
     /// concurrent `revoke_device` cannot be undone by a racing install.
     fn install_chains(&self, chains: &[([u8; 32], ChainEntry)]) {
         if chains.is_empty() {
             return;
         }
         let _writer = self.writer.lock();
-        let trust = self.trust.load();
-        let current = self.chain_cache.load();
-        let mut next = (*current).clone();
+        let trust = self.trust();
+        let mut next = (*self.chains()).clone();
         for (fingerprint, entry) in chains {
             if !trust.revoked_devices.contains(&entry.device_key)
                 && trust.roots.iter().any(|r| r.to_bytes() == entry.root)
@@ -505,8 +506,7 @@ impl RemoteVerifier {
                 next.insert(*fingerprint, *entry);
             }
         }
-        self.chain_cache.publish(Arc::new(next));
-        self.chain_cache.quiesce();
+        *self.chain_cache.write() = Arc::new(next);
     }
 
     /// The checks downstream of challenge consumption: chain, report
@@ -576,7 +576,7 @@ impl RemoteVerifier {
     ) -> Result<SecureSession, VerifyError> {
         let result = (|| {
             let dh_secret = self.take_challenge(&evidence.report.nonce)?;
-            let trust = self.trust.load();
+            let trust = self.trust();
             let chain = self.validate_chain(evidence, &trust, true);
             self.verify_evidence(evidence, enclave_dh_public, dh_secret, &trust, chain)
         })();
@@ -588,18 +588,18 @@ impl RemoteVerifier {
     /// the batch: the trust state is loaded once, each *distinct* chain in
     /// the batch is validated at most once (evidence from one machine shares
     /// its chain), and all newly validated chains land in the cache with a
-    /// single epoch publish.
+    /// single publish.
     pub fn verify_batch(
         &self,
         items: &[(AttestationEvidence, [u8; 32])],
     ) -> Vec<Result<SecureSession, VerifyError>> {
-        let trust = self.trust.load();
+        let trust = self.trust();
         let mut resolved: BTreeMap<[u8; 32], Result<ChainEntry, VerifyError>> = BTreeMap::new();
         let mut fresh: Vec<([u8; 32], ChainEntry)> = Vec::new();
         for (evidence, _) in items {
             let fingerprint = Self::chain_fingerprint(evidence);
             resolved.entry(fingerprint).or_insert_with(|| {
-                let had_entry = self.chain_cache.load().contains_key(&fingerprint);
+                let had_entry = self.chain_cache.read().contains_key(&fingerprint);
                 let outcome = self.validate_chain(evidence, &trust, false);
                 if let Ok(entry) = outcome {
                     if !had_entry {

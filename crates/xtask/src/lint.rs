@@ -12,12 +12,9 @@
 //!   are required to demand `Checked<_>` proofs. A sink disappearing from
 //!   its file is also an error, so the registry cannot silently go stale.
 //! * **Rule C — lock-rank documentation.** Every `OrderedMutex` /
-//!   `OrderedRwLock` / `EpochCell` declaration (struct field, type alias,
-//!   or static) must carry a comment naming its rank from `lockorder.rs`'s
-//!   documented hierarchy, so the declared hierarchy and the code never
-//!   drift apart. `EpochCell` is in scope because its load/publish/quiesce
-//!   operations participate in the rank discipline exactly like a lock
-//!   acquisition (the retire list rides on the cell's rank).
+//!   `OrderedRwLock` declaration (struct field, type alias, or static) must
+//!   carry a comment naming its rank from `lockorder.rs`'s documented
+//!   hierarchy, so the declared hierarchy and the code never drift apart.
 //! * **Rule D — fault-point classification.** Every `fault_point!(` call
 //!   site must carry a `// journal:` or `// atomic:` comment (same line or
 //!   the contiguous comment block above) stating its crash-consistency
@@ -294,9 +291,8 @@ fn rank_names(lockorder_src: &str) -> Vec<String> {
     names
 }
 
-/// Flags `OrderedMutex` / `OrderedRwLock` / `EpochCell` declarations
-/// (fields, type aliases, statics) whose surrounding comment does not name
-/// a known rank.
+/// Flags `OrderedMutex` / `OrderedRwLock` declarations (fields, type
+/// aliases, statics) whose surrounding comment does not name a known rank.
 ///
 /// `raw` is the original source (comments intact); `code` the stripped
 /// version used to decide what is a real declaration.
@@ -309,10 +305,7 @@ fn undocumented_lock_ranks(
     let mut violations = Vec::new();
     let raw_lines: Vec<&str> = raw.lines().collect();
     for (idx, line) in code.lines().enumerate() {
-        if !(line.contains("OrderedMutex<")
-            || line.contains("OrderedRwLock<")
-            || line.contains("EpochCell<"))
-        {
+        if !(line.contains("OrderedMutex<") || line.contains("OrderedRwLock<")) {
             continue;
         }
         let trimmed = line.trim_start();
@@ -352,8 +345,6 @@ fn undocumented_lock_ranks(
                      documented ranks",
                     if line.contains("OrderedRwLock<") {
                         "OrderedRwLock"
-                    } else if line.contains("EpochCell<") {
-                        "EpochCell"
                     } else {
                         "OrderedMutex"
                     }
@@ -568,12 +559,11 @@ mod tests {
 
     const RANKS: &[&str] = &[
         "ENCLAVE_TABLE",
-        "ENCLAVE_EPOCH",
         "MAIL_LEDGER",
         "BACKEND",
         "MODEL_VISITED",
         "VERIFIER_DRBG",
-        "VERIFIER_TRUST_EPOCH",
+        "VERIFIER_TRUST",
     ];
 
     fn ranks() -> Vec<String> {
@@ -677,36 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_undocumented_epoch_cell_fails() {
-        // An epoch cell participates in the rank discipline like a lock:
-        // declaring one without naming its lockorder.rs rank is a violation.
-        let bare = r#"
-            struct State {
-                enclave_epoch: EpochCell<BTreeMap<EnclaveId, EnclaveHandle>>,
-            }
-        "#;
-        let violations = lint_fixture("crates/core/src/state.rs", bare);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].rule, "lock-rank");
-        assert!(violations[0].message.contains("EpochCell"), "{violations:?}");
-        // The same declaration with its rank documented is clean, and the
-        // `EpochCell` struct/impl definitions themselves are not
-        // declarations (no field colon), so epoch.rs stays in jurisdiction
-        // without false positives.
-        let documented = r#"
-            pub struct EpochCell<T> {
-                rank: LockRank,
-            }
-            struct State {
-                /// Read-side snapshots of the enclave table (rank
-                /// `ENCLAVE_EPOCH`, published under `ENCLAVE_TABLE`).
-                enclave_epoch: EpochCell<BTreeMap<EnclaveId, EnclaveHandle>>,
-            }
-        "#;
-        assert!(lint_fixture("crates/core/src/state.rs", documented).is_empty());
-    }
-
-    #[test]
     fn modelcheck_crate_is_inside_rule_c_jurisdiction() {
         // The model checker is first-party code, not a shim: an ordered
         // lock declared there without its lockorder.rs rank comment must be
@@ -731,27 +691,27 @@ mod tests {
 
     #[test]
     fn verifier_crate_epoch_cells_are_inside_rule_c_jurisdiction() {
-        // The concurrent verifier tier declares both ordered locks and
-        // epoch cells; every such declaration must name its
+        // The concurrent verifier tier declares ordered mutexes and
+        // reader-writer locks; every such declaration must name its
         // lockorder.rs rank, exactly like monitor-side locks — the rank
         // table is the one place the cross-tier acquisition order lives.
         let bare = r#"
             pub struct RemoteVerifier {
                 drbg: OrderedMutex<ChaChaDrbg>,
-                trust: EpochCell<TrustState>,
+                trust: OrderedRwLock<Arc<TrustState>>,
             }
         "#;
         let violations = lint_fixture("crates/verifier/src/remote.rs", bare);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations.iter().all(|v| v.rule == "lock-rank"));
-        assert!(violations[1].message.contains("EpochCell"));
+        assert!(violations[1].message.contains("OrderedRwLock"));
         let documented = r#"
             pub struct RemoteVerifier {
                 // lock rank: rank::VERIFIER_DRBG
                 drbg: OrderedMutex<ChaChaDrbg>,
-                // lock rank: rank::VERIFIER_TRUST_EPOCH (published under
-                // the writer lock, loaded lock-free)
-                trust: EpochCell<TrustState>,
+                // lock rank: rank::VERIFIER_TRUST (swapped under the
+                // writer lock)
+                trust: OrderedRwLock<Arc<TrustState>>,
             }
         "#;
         assert!(lint_fixture("crates/verifier/src/remote.rs", documented).is_empty());
