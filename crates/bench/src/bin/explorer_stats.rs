@@ -54,6 +54,7 @@ fn main() {
     let harts = config.harts;
     let explorer = Explorer::new(config);
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let calibration = calibrate();
     let start = Instant::now();
     let stats = explorer.sweep(0..seeds);
@@ -70,6 +71,7 @@ fn main() {
     println!("wall clock:            {:.2?}", elapsed);
     println!("steps/sec per backend: {steps_per_second:.0}");
     println!("calibration:           {calibration:.0} hashes/sec");
+    println!("host cpus:             {host_cpus}");
     println!("\n## op mix");
     for (label, count) in &stats.op_counts {
         println!("{label:>16}: {count}");
@@ -87,6 +89,7 @@ fn main() {
             elapsed.as_secs_f64(),
             steps_per_second,
             calibration,
+            host_cpus,
             stats.failures.len(),
             stats.declared_divergences,
         );
@@ -133,6 +136,7 @@ fn render_json(
     wall_clock_seconds: f64,
     steps_per_second: f64,
     calibration: f64,
+    host_cpus: usize,
     violations: usize,
     declared_divergences: usize,
 ) -> String {
@@ -152,6 +156,7 @@ fn render_json(
   "wall_clock_seconds": {wall_clock_seconds:.3},
   "steps_per_second": {steps_per_second:.1},
   "calibration_hashes_per_second": {calibration:.1},
+  "host_cpus": {host_cpus},
   "violations": {violations},
   "declared_divergences": {declared_divergences},
   "baseline_before_indexing": {{

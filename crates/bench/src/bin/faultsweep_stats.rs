@@ -9,9 +9,12 @@
 //! gets one persistent-fault run through the quarantine path. The gates:
 //! any violation exits 1 (with the replayable counterexample on stdout),
 //! as does a compiled-in fault site the trace set never crosses — untested
-//! crash surface is a coverage failure, not a statistic. A
-//! machine-normalized sweeps/sec regression beyond 2× against the
-//! baseline exits 2.
+//! crash surface is a coverage failure, not a statistic. Against a
+//! baseline, a per-site crossing count that differs from the baseline's
+//! `site_inventory` exits 3 — a change that opens or closes a crash window
+//! must regenerate the baseline with `--out`, so the new inventory shows up
+//! in its diff — and a machine-normalized sweeps/sec regression beyond 2×
+//! exits 2.
 //!
 //! Usage:
 //!
@@ -24,6 +27,7 @@
 use sanctorum_bench::{calibrate, extract_number};
 use sanctorum_explorer::crash::{crash_machine_config, lifecycle_traces, sweep_all};
 use sanctorum_machine::fault::ALL_SITES;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Throughput regression tolerance for the `--baseline` gate (matches the
 /// other bench gates: CI machines are noisy, a 2× cliff is a regression).
@@ -97,6 +101,28 @@ fn main() {
 
     if let Some(path) = &baseline {
         let text = std::fs::read_to_string(path).expect("read baseline JSON");
+        let committed =
+            parse_site_inventory(&text).expect("baseline JSON has a site_inventory object");
+        let current: BTreeMap<String, u64> = report
+            .site_inventory
+            .iter()
+            .map(|(site, count)| (site.to_string(), *count))
+            .collect();
+        if current != committed {
+            let sites: BTreeSet<&String> = committed.keys().chain(current.keys()).collect();
+            for site in sites {
+                let (was, now) = (committed.get(site), current.get(site));
+                if was != now {
+                    eprintln!("site {site}: baseline {was:?} crossings, now {now:?}");
+                }
+            }
+            eprintln!(
+                "FAIL: the crash-window inventory differs from {path}; regenerate it with --out \
+                 if the change is intended"
+            );
+            std::process::exit(3);
+        }
+        println!("baseline {path}: site inventory identical ({} crossings)", report.crossings);
         let reference = extract_number(&text, "sweeps_per_second")
             .expect("baseline JSON has a sweeps_per_second field");
         let reference_calibration =
@@ -116,6 +142,23 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// Reads the `"site_inventory"` object of a result JSON written by
+/// [`render_json`] (one `"site": count` pair per entry).
+fn parse_site_inventory(json: &str) -> Option<BTreeMap<String, u64>> {
+    let key = json.find("\"site_inventory\"")?;
+    let open = key + json[key..].find('{')?;
+    let close = open + json[open..].find('}')?;
+    json[open + 1..close]
+        .split(',')
+        .filter(|entry| !entry.trim().is_empty())
+        .map(|entry| {
+            let (site, count) = entry.split_once(':')?;
+            let site = site.trim().trim_matches('"').to_string();
+            Some((site, count.trim().parse().ok()?))
+        })
+        .collect()
 }
 
 fn render_json(

@@ -314,11 +314,13 @@ pub struct RecoveryReport {
 /// [`SecurityMonitor::weaken_for_testing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TestWeakening {
-    /// `clean_resource` skips zeroing region memory (the clean-before-reuse
-    /// scrub), while still completing the Fig. 2 state transition.
+    /// The clean-before-reuse scrub skips zeroing region memory, while
+    /// `clean_resource` still completes the Fig. 2 state transition.
     SkipRegionScrub,
-    /// Enclave entry/exit skips cleaning the core's architected state, so
-    /// registers the previous domain left behind survive the hand-off.
+    /// The enclave-to-OS core hand-off — `exit_enclave` and the
+    /// asynchronous enclave exit — skips cleaning the core's architected
+    /// state, so registers the enclave left behind survive into the OS.
+    /// `enter_enclave` and `clean_resource` on a core always clean.
     SkipCoreClean,
     /// [`SecurityMonitor::recover`] skips replaying the mutation journal, so
     /// a crash mid-mutation leaves its intent entry pending (and the
@@ -976,16 +978,8 @@ impl SecurityMonitor {
                 // owner's memory must stay unwritable until legitimately
                 // re-granted, or a later grant would hand a new enclave a
                 // region the OS could have dirtied meanwhile.
-                {
-                    let mut backend = self.backend.lock();
-                    for region in &regions {
-                        if backend
-                            .assign_region(*region, DomainKind::SecurityMonitor, MemPerms::RWX)
-                            .is_err()
-                        {
-                            self.quarantine_region(*region);
-                        }
-                    }
+                for region in &regions {
+                    self.park_on_sm(*region);
                 }
                 let mut repaired = false;
                 for region in regions {
@@ -1022,13 +1016,7 @@ impl SecurityMonitor {
                         // Undo: the backend may hold a half-applied
                         // assignment; park the region with the SM so nobody
                         // can touch it until the grant is retried.
-                        let mut backend = self.backend.lock();
-                        if backend
-                            .assign_region(region, DomainKind::SecurityMonitor, MemPerms::RWX)
-                            .is_err()
-                        {
-                            self.quarantine_region(region);
-                        }
+                        self.park_on_sm(region);
                     }
                 }
             }
@@ -1039,70 +1027,167 @@ impl SecurityMonitor {
         }
     }
 
+    /// Undo step of a crashed create or grant: parks `region` on the SM with
+    /// a one-op backend batch, quarantining it if the backend refuses.
+    fn park_on_sm(&self, region: RegionId) {
+        let parked = self.backend.lock().apply_batch(&[RegionOp::Assign {
+            region,
+            domain: DomainKind::SecurityMonitor,
+            perms: MemPerms::RWX,
+        }]);
+        if parked.is_err() {
+            self.quarantine_region(region);
+        }
+    }
+
     /// Idempotent redo of a crashed `delete_enclave`, replayed from the
-    /// journal. Unlike the API path this runs at a quiescent point, uses
-    /// blocking locks and skips validation — the crashed call already passed
-    /// it.
+    /// journal: the API path's own teardown steps, minus validation (the
+    /// crashed call already passed it). Every step is a no-op where the
+    /// crashed call already got past it; recovery runs at a quiescent point,
+    /// so the steps' blocking locks never wait.
     fn redo_delete(&self, eid: EnclaveId) {
         let handle = self.state.enclaves.read().get(&eid).cloned();
-        let Some(enclave) = handle else {
-            // The table removal already happened; the post-removal sweep may
-            // not have. Anything still owned by the dead id gets re-parked.
-            let mut swept = false;
-            for shard in self.state.resources.shards() {
-                let mut shard = shard.lock();
-                for rid in shard.owned_by(DomainKind::Enclave(eid)) {
-                    if matches!(shard.state(rid), Ok(ResourceState::Blocked(_))) {
-                        continue;
-                    }
-                    if shard
-                        .recover_force(rid, ResourceState::Blocked(DomainKind::Enclave(eid)))
-                        .is_ok()
-                    {
-                        swept = true;
-                    }
-                }
-            }
-            if swept {
-                self.touch_resources();
-            }
-            return;
+        if let Some(enclave) = handle {
+            let tids = enclave.lock().threads.clone();
+            self.reclaim_thread_slots(tids);
+            self.purge_mail_fabric(eid, &enclave);
+            self.remove_enclave(eid);
+        }
+        // Blocking the owned regions before or after the table removal is
+        // the same end state at a quiescent point: nothing can grant the
+        // dead id a region in between.
+        let _ = self.sweep_owned_regions(eid);
+    }
+
+    /// Retries the full scrub of a quarantined region; on success the region
+    /// leaves quarantine but *stays Blocked* — recovery repairs, it does not
+    /// perform Fig. 2 transitions the OS never asked for. Returns whether
+    /// the region was released.
+    fn retry_quarantined_scrub(&self, region: RegionId) -> bool {
+        let Ok(info) = self.region_info(region) else {
+            return false;
         };
-        // Thread slots: remove whatever the crashed call had not yet. Only
-        // ids actually removed *here* are freed — anything already gone was
-        // freed by the crashed call before it died, and freeing it again
-        // would put one id in two harts' caches.
-        let owned_tids: Vec<ThreadId> = enclave.lock().threads.clone();
-        let removed_tids: Vec<ThreadId> = {
+        if self.scrub_region(&info).is_err() {
+            return false;
+        }
+        if self.state.quarantine.lock().remove(&region) {
+            self.touch_quarantine();
+        }
+        true
+    }
+
+    /// The clean-before-reuse scrub of one region, shared by
+    /// `clean_resource` and quarantine recovery: zero every page, then evict
+    /// the region from the shared cache and every TLB. Returns the cycles
+    /// spent.
+    ///
+    /// The page writes run outside the backend lock: they go through the
+    /// machine's own DRAM lock and need no isolation-primitive access.
+    fn scrub_region(&self, info: &RegionInfo) -> SmResult<Cycles> {
+        let mut cost = Cycles::ZERO;
+        if !self.weakened_by(TestWeakening::SkipRegionScrub) {
+            for page in 0..info.page_count() {
+                // journal: one crossing per scrubbed page; a failure leaves
+                // the region Blocked and quarantined until a recover() pass
+                // scrubs it whole.
+                if fault_point!(self.machine.fault_injector(), "monitor.scrub-page")
+                    == Crossing::FailOp
+                {
+                    return Err(SmError::Again);
+                }
+                self.machine
+                    .zero_page(info.base.offset(page * PAGE_SIZE as u64))?;
+                cost += self.machine.cost_model().zero_page;
+            }
+        }
+        {
+            let mut backend = self.backend.lock();
+            cost += backend.flush_region_cache(info.id)?;
+            cost += backend.tlb_shootdown(info.id)?;
+        }
+        self.machine.tlb_shootdown(info.base, info.len);
+        Ok(cost)
+    }
+
+    // ------------------------------------------------------------------
+    // enclave teardown steps (shared by delete_enclave and its redo)
+    // ------------------------------------------------------------------
+
+    /// Reclaims the thread slots in `tids`: removes each from the thread
+    /// table and returns its id to the allocator (per-hart cache first,
+    /// spilling to the pool). Only ids removed *here* are freed — an id
+    /// already gone was freed by whoever removed it, and freeing it again
+    /// would put one id in two harts' caches.
+    fn reclaim_thread_slots(&self, tids: Vec<ThreadId>) {
+        let removed: Vec<ThreadId> = {
             let mut threads = self.state.threads.write();
-            owned_tids
-                .into_iter()
+            tids.into_iter()
                 .filter(|tid| threads.remove(tid).is_some())
                 .collect()
         };
-        for tid in removed_tids {
+        for tid in removed {
             self.state.tids.free(tid);
         }
         self.touch_threads();
-        // Region sweep, same skip-already-blocked discipline as the API path.
+    }
+
+    /// Blocks every resource in `shard` that `eid` still owns and returns
+    /// whether any changed. A resource may already be blocked under this
+    /// id: enclave ids are physical addresses, so after a delete whose
+    /// blocked regions the OS never cleaned, a new enclave over the same
+    /// base region reuses the id and inherits the stale flags. The goal
+    /// state (flagged for release) is already reached there, and skipping
+    /// keeps the sweep total — failing halfway would strand a live enclave
+    /// with blocked windows (found by the adversarial explorer).
+    fn block_owned(shard: &mut ResourceMap, eid: EnclaveId) -> SmResult<bool> {
         let mut blocked = false;
-        for shard in self.state.resources.shards() {
-            let mut shard = shard.lock();
-            for rid in shard.owned_by(DomainKind::Enclave(eid)) {
-                if matches!(shard.state(rid), Ok(ResourceState::Blocked(_))) {
-                    continue;
-                }
-                if shard.block(DomainKind::SecurityMonitor, rid).is_ok() {
-                    blocked = true;
-                }
+        for rid in shard.owned_by(DomainKind::Enclave(eid)) {
+            if let Ok(ResourceState::Blocked(_)) = shard.state(rid) {
+                continue;
             }
+            shard.block(DomainKind::SecurityMonitor, rid)?;
+            blocked = true;
         }
-        if blocked {
+        Ok(blocked)
+    }
+
+    /// Blocks whatever `eid` still owns, one blocking shard lock at a time.
+    /// Run once the enclave is gone from the table: a concurrent
+    /// `grant_resource` may have granted it a region after the delete's
+    /// locked sweep (its liveness re-check passed while the enclave was
+    /// still listed), and no further grant can name it now — so this makes
+    /// "no resource owned by a dead enclave" hold at every quiescent point.
+    /// Blocking acquires are safe: the caller holds nothing, and the sweep
+    /// is a no-op in the common case.
+    fn sweep_owned_regions(&self, eid: EnclaveId) -> SmResult<()> {
+        let mut swept = false;
+        for shard in self.state.resources.shards() {
+            swept |= Self::block_owned(&mut shard.lock(), eid)?;
+        }
+        if swept {
             self.touch_resources();
         }
-        // Mail-fabric scrub: purge the dying identity from every other
-        // enclave's boxes and disarm filters naming it (same reasoning as
-        // the API path: ids are recycled physical addresses).
+        Ok(())
+    }
+
+    /// Scrubs every trace of the dying enclave's identity from the mail
+    /// fabric. Enclave ids are recycled physical addresses, so (a) a queued
+    /// message still carrying this id must not survive into the next
+    /// incarnation's identity (purging also resets the dead sender's quota),
+    /// and (b) an accept filter naming this id must be disarmed — otherwise
+    /// the next enclave recycled onto the id would inherit a delivery
+    /// capability extended to its previous life (found by the adversarial
+    /// explorer: a rebuilt signing enclave matched a victim's stale filter
+    /// and its attestation reply was mis-routed). Undelivered mail in the
+    /// dying enclave's own queues is destroyed with it and the senders'
+    /// quotas are refunded; it is read here, at scrub time, so a send racing
+    /// the delete cannot leave an unrefunded ledger entry behind.
+    ///
+    /// Lock order matches the send/get paths (enclave meta before ledger,
+    /// never both ways): the purge walk holds the table and one meta at a
+    /// time with no ledger held, and the ledger is settled afterwards on its
+    /// own.
+    fn purge_mail_fabric(&self, eid: EnclaveId, enclave: &EnclaveHandle) {
         let mut purged_any = false;
         {
             let table = self.state.enclaves.read();
@@ -1132,61 +1217,23 @@ impl SecurityMonitor {
             .flat_map(|mb| mb.queued())
             .map(|m| m.sender_id)
             .collect();
-        {
-            let mut ledger = self.state.mail_ledger.lock();
-            let mail_changed =
-                !inbound_refunds.is_empty() || purged_any || ledger.contains_key(&eid.as_u64());
-            for sender in inbound_refunds {
-                Self::refund_mail_sender(&mut ledger, sender);
-            }
-            ledger.remove(&eid.as_u64());
-            if mail_changed {
-                self.touch_mail();
-            }
+        let mut ledger = self.state.mail_ledger.lock();
+        let mail_changed =
+            !inbound_refunds.is_empty() || purged_any || ledger.contains_key(&eid.as_u64());
+        for sender in inbound_refunds {
+            Self::refund_mail_sender(&mut ledger, sender);
         }
+        ledger.remove(&eid.as_u64());
+        if mail_changed {
+            self.touch_mail();
+        }
+    }
+
+    /// Removes `eid` from the enclave table, releasing its admission slot.
+    fn remove_enclave(&self, eid: EnclaveId) {
         self.state.enclaves.write().remove(&eid);
         self.state.live_enclaves.fetch_sub(1, Ordering::Relaxed);
         self.touch_enclave_table();
-    }
-
-    /// Retries the full scrub of a quarantined region; on success the region
-    /// leaves quarantine but *stays Blocked* — recovery repairs, it does not
-    /// perform Fig. 2 transitions the OS never asked for. Returns whether
-    /// the region was released.
-    fn retry_quarantined_scrub(&self, region: RegionId) -> bool {
-        let Ok(info) = self.region_info(region) else {
-            return false;
-        };
-        for page in 0..info.page_count() {
-            // journal: retried under recovery; a failure keeps the
-            // quarantine in place for the next recover() pass.
-            if fault_point!(self.machine.fault_injector(), "monitor.scrub-page")
-                == Crossing::FailOp
-            {
-                return false;
-            }
-            if self
-                .machine
-                .zero_page(info.base.offset(page * PAGE_SIZE as u64))
-                .is_err()
-            {
-                return false;
-            }
-        }
-        {
-            let mut backend = self.backend.lock();
-            if backend.flush_region_cache(region).is_err() {
-                return false;
-            }
-            if backend.tlb_shootdown(region).is_err() {
-                return false;
-            }
-        }
-        self.machine.tlb_shootdown(info.base, info.len);
-        if self.state.quarantine.lock().remove(&region) {
-            self.touch_quarantine();
-        }
-        true
     }
 
     /// Refunds one undelivered-message unit to `sender_id` in the quota
@@ -1927,37 +1974,11 @@ impl SmApi for SecurityMonitor {
                 // Removing it while the enclave guard is held means any
                 // later `enter_enclave` that squeezes in before the table
                 // removal fails on the thread lookup.
-                let removed_tids: Vec<ThreadId> = {
-                    let mut threads = self.state.threads.write();
-                    owned_tids
-                        .into_iter()
-                        .filter(|tid| threads.remove(tid).is_some())
-                        .collect()
-                };
-                // The slots are gone from the table; their ids return to the
-                // allocator (per-hart cache first, spilling to the pool).
-                for tid in removed_tids {
-                    self.state.tids.free(tid);
-                }
-                self.touch_threads();
+                self.reclaim_thread_slots(owned_tids);
                 // Block all of the enclave's regions (they stay
-                // inaccessible to everyone until cleaned). A resource may
-                // already be blocked under this id: enclave ids are
-                // physical addresses, so after a delete whose blocked
-                // regions the OS never cleaned, a new enclave over the same
-                // base region reuses the id and inherits the stale flags.
-                // The goal state (flagged for release) is already reached
-                // there, and skipping keeps the commit loop total — failing
-                // halfway would strand a live enclave with blocked windows
-                // (found by the adversarial explorer).
+                // inaccessible to everyone until cleaned).
                 for shard in shards.iter_mut() {
-                    let owned = shard.owned_by(DomainKind::Enclave(eid));
-                    for rid in owned {
-                        if let Ok(ResourceState::Blocked(_)) = shard.state(rid) {
-                            continue;
-                        }
-                        shard.block(DomainKind::SecurityMonitor, rid)?;
-                    }
+                    Self::block_owned(shard, eid)?;
                 }
                 // The meta guard drops here; the mail purge below locks
                 // *other* enclaves' records at the same rank, so it must
@@ -1969,94 +1990,13 @@ impl SmApi for SecurityMonitor {
                 // mail-fabric teardown is the interesting mid-delete state —
                 // redo_delete finishes the purge from the pending entry.
                 self.journal_step();
-                // Mail-fabric teardown — placed after the last fallible step so
-                // a delete refused by a lock conflict can never have already
-                // destroyed a still-live enclave's in-flight mail. Scrub every
-                // trace of the dying enclave's identity from the fabric: enclave
-                // ids are recycled physical addresses, so (a) a queued message
-                // still carrying this id must not survive into the next
-                // incarnation's identity (purging also resets the dead sender's
-                // quota), and (b) an accept filter naming this id must be
-                // disarmed — otherwise the next enclave recycled onto the id
-                // would inherit a delivery capability extended to its previous
-                // life (found by the adversarial explorer: a rebuilt signing
-                // enclave matched a victim's stale filter and its attestation
-                // reply was mis-routed). Lock order matches the send/get paths
-                // (enclave meta before ledger, never both ways): the purge walk
-                // holds the table + one meta at a time with no ledger held, and
-                // the ledger is settled afterwards on its own.
-                let mut purged_any = false;
-                {
-                    let table = self.state.enclaves.read();
-                    for (other_id, other) in table.iter() {
-                        if *other_id == eid {
-                            continue;
-                        }
-                        let mut other_meta = other.lock();
-                        let purged: usize = other_meta
-                            .mailboxes
-                            .iter_mut()
-                            .map(|mb| mb.purge_sender(eid.as_u64()))
-                            .sum();
-                        for mb in other_meta.mailboxes.iter_mut() {
-                            mb.disarm_if_expecting(eid.as_u64());
-                        }
-                        if purged > 0 {
-                            purged_any = true;
-                            self.touch_enclave(&mut other_meta);
-                        }
-                    }
-                }
-                // Undelivered mail in the dying enclave's own queues is
-                // destroyed with it; the senders' quotas are refunded. Read at
-                // scrub time (not validation time), so a send racing the delete
-                // cannot leave an unrefunded ledger entry behind.
-                let inbound_refunds: Vec<u64> = enclave
-                    .lock()
-                    .mailboxes
-                    .iter()
-                    .flat_map(|mb| mb.queued())
-                    .map(|m| m.sender_id)
-                    .collect();
-                {
-                    let mut ledger = self.state.mail_ledger.lock();
-                    let mail_changed =
-                        !inbound_refunds.is_empty() || purged_any || ledger.contains_key(&eid.as_u64());
-                    for sender in inbound_refunds {
-                        Self::refund_mail_sender(&mut ledger, sender);
-                    }
-                    ledger.remove(&eid.as_u64());
-                    if mail_changed {
-                        self.touch_mail();
-                    }
-                }
-                self.state.enclaves.write().remove(&eid);
-                self.state.live_enclaves.fetch_sub(1, Ordering::Relaxed);
-                self.touch_enclave_table();
-                // Post-removal sweep: a concurrent `grant_resource` may have
-                // granted this enclave a region between the ownership sweep
-                // above and the table removal (its liveness re-check passed
-                // while the enclave was still listed). The enclave is gone from
-                // the table now, so no further grant can name it — blocking
-                // whatever such a straggler left behind makes "no resource owned
-                // by a dead enclave" hold at every quiescent point. Blocking
-                // acquires are safe here: nothing else is held, and the sweep is
-                // a no-op in the common case.
-                let mut swept_any = false;
-                for shard in self.state.resources.shards() {
-                    let mut shard = shard.lock();
-                    for rid in shard.owned_by(DomainKind::Enclave(eid)) {
-                        if let Ok(ResourceState::Blocked(_)) = shard.state(rid) {
-                            continue;
-                        }
-                        shard.block(DomainKind::SecurityMonitor, rid)?;
-                        swept_any = true;
-                    }
-                }
-                if swept_any {
-                    self.touch_resources();
-                }
-                Ok(())
+                // The mail-fabric teardown is placed after the last fallible
+                // step, so a delete refused by a lock conflict can never
+                // have already destroyed a still-live enclave's in-flight
+                // mail.
+                self.purge_mail_fabric(eid, &enclave);
+                self.remove_enclave(eid);
+                self.sweep_owned_regions(eid)
             })();
             self.journal_complete(seq);
             committed
@@ -2124,43 +2064,16 @@ impl SmApi for SecurityMonitor {
                     // clean repairs from scratch — so replay is a no-op, but
                     // the pending entry still marks the crash for audit.
                     let seq = self.journal_record(JournalEntry::Clean { id });
-                    let scrub = (|| -> SmResult<()> {
-                        // Zero every page of the region — outside the backend
-                        // lock; the memory writes go through the machine's own
-                        // DRAM lock and need no isolation-primitive access.
-                        if !self.weakened_by(TestWeakening::SkipRegionScrub) {
-                            for page in 0..info.page_count() {
-                                // journal: one crossing per scrubbed page; a
-                                // failure quarantines the region below.
-                                if fault_point!(
-                                    self.machine.fault_injector(),
-                                    "monitor.scrub-page"
-                                ) == Crossing::FailOp
-                                {
-                                    return Err(SmError::Again);
-                                }
-                                self.machine
-                                    .zero_page(info.base.offset(page * PAGE_SIZE as u64))?;
-                                cost += self.machine.cost_model().zero_page;
-                            }
-                        }
-                        {
-                            let mut backend = self.backend.lock();
-                            cost += backend.flush_region_cache(region)?;
-                            cost += backend.tlb_shootdown(region)?;
-                        }
-                        self.machine.tlb_shootdown(info.base, info.len);
-                        Ok(())
-                    })();
-                    if let Err(err) = scrub {
-                        if self.weakened_by(TestWeakening::SkipQuarantine) {
-                            // Weakened: swallow the fault and complete the
-                            // transition over possibly-dirty memory — the
-                            // explorer's FaultStorm attack must catch this.
-                        } else {
+                    match self.scrub_region(&info) {
+                        Ok(spent) => cost += spent,
+                        // Weakened: swallow the fault and complete the
+                        // transition over possibly-dirty memory — the
+                        // explorer's FaultStorm attack must catch this.
+                        Err(_) if self.weakened_by(TestWeakening::SkipQuarantine) => {}
+                        Err(err) => {
                             // Degrade gracefully instead of wedging: the
-                            // region stays Blocked, parked in quarantine;
-                            // the caller backs off with Again and recover()
+                            // region stays Blocked, parked in quarantine; the
+                            // caller backs off with Again and recover()
                             // retries the scrub once the backend heals.
                             self.quarantine_region(region);
                             self.journal_complete(seq);
@@ -2252,9 +2165,9 @@ impl SmApi for SecurityMonitor {
                 if let ResourceId::Region(region) = id {
                     // One all-or-nothing batch programs the assignment and
                     // the DMA filter: the platform validates the whole batch
-                    // before mutating, so the set_dma_blocked rollback that
-                    // used to live here is gone — a rejected batch leaves
-                    // hardware and (still-unmutated) metadata agreeing.
+                    // before mutating, so no rollback is needed — a rejected
+                    // batch leaves hardware and (still-unmutated) metadata
+                    // agreeing.
                     let ops = [
                         RegionOp::Assign {
                             region,

@@ -11,16 +11,23 @@
 //! * **Recovery idempotence** — `recover()` on a clean world is a no-op,
 //!   and a second `recover()` after a crash is a no-op, both certified by
 //!   bit-identical machine state digests and audit digests.
+//! * **Crashed delete ≡ delete** — a `delete_enclave` crashed at any of its
+//!   crossings and recovered ends in the state of an uncrashed delete.
 
 use sanctorum_explorer::crash::{
     crash_machine_config, lifecycle_traces, sweep_all, sweep_trace, CrashSweepReport,
 };
 use sanctorum_explorer::trace::{format_trace, parse_trace};
+use sanctorum_core::api::SmApi;
+use sanctorum_core::error::SmError;
 use sanctorum_core::monitor::TestWeakening;
-use sanctorum_hal::domain::CoreId;
+use sanctorum_core::resource::ResourceId;
+use sanctorum_core::session::CallerSession;
+use sanctorum_hal::domain::{CoreId, DomainKind};
 use sanctorum_machine::fault::ALL_SITES;
 use sanctorum_os::ops::{ImageKind, Op, OpWorld};
 use sanctorum_os::system::PlatformKind;
+use sanctorum_trust::Tainted;
 
 #[test]
 fn lifecycle_sweep_crashes_every_fault_point_and_recovers_clean() {
@@ -139,4 +146,90 @@ fn recovery_is_idempotent_and_a_noop_on_clean_worlds() {
         assert_eq!(world.system.machine.state_digest(), digest);
         assert_eq!(world.system.monitor.audit_full().digest(), audit);
     }
+}
+
+/// `delete_enclave` crosses `journal.record`, `journal.step` and
+/// `journal.complete`. Crashing at each one and recovering — then
+/// re-issuing the delete when the crash landed before the intent was
+/// journaled — must end in exactly the monitor and machine state of an
+/// uncrashed delete. The world queues mail both ways between the victim and
+/// a survivor, and the survivor's accept filters name the victim, so the
+/// thread reclaim, region sweep, mail purge, ledger refund and filter
+/// disarm all have work to do on every path. Filters are not audit-visible,
+/// so every path also recycles the victim's id and checks the survivor's
+/// filters turn the new incarnation away.
+#[test]
+fn crashed_delete_ends_in_the_state_of_an_uncrashed_delete() {
+    for platform in PlatformKind::ALL {
+        let reference = delete_victim(platform, None);
+        for point in 1..=3 {
+            assert_eq!(
+                delete_victim(platform, Some(point)),
+                reference,
+                "{platform:?}: delete crashed at crossing {point}"
+            );
+        }
+        // There is no fourth crossing: the delete completes uncrashed.
+        assert_eq!(delete_victim(platform, Some(4)), reference, "{platform:?}");
+    }
+}
+
+/// Builds a victim and a survivor with mail in flight, deletes the victim
+/// (crashed at its `crash_at`-th crossing, 1-based, when given), recycles
+/// its id and returns the audit digest, machine state digest and live
+/// thread ids the world ends in.
+fn delete_victim(platform: PlatformKind, crash_at: Option<u64>) -> (u64, u64, Vec<u64>) {
+    let hart = CoreId::new(0);
+    let mut world = OpWorld::boot(platform, crash_machine_config());
+    world.apply(hart, &Op::Build { kind: ImageKind::Hello, param: 1 });
+    world.apply(hart, &Op::Build { kind: ImageKind::Hello, param: 2 });
+    let victim = world.live[0].built.eid;
+    let victim_region = world.live[0].built.regions[0];
+    let survivor = world.live[1].built.eid;
+    let monitor = &world.system.monitor;
+    let as_victim = CallerSession::enclave(victim);
+    let as_survivor = CallerSession::enclave(survivor);
+    monitor.accept_mail(as_survivor, 0, victim.as_u64()).unwrap();
+    monitor.accept_mail(as_survivor, 1, victim.as_u64()).unwrap();
+    monitor.accept_mail(as_victim, 0, survivor.as_u64()).unwrap();
+    monitor.send_mail(as_victim, survivor, Tainted::new(&b"to survivor"[..])).unwrap();
+    monitor.send_mail(as_survivor, victim, Tainted::new(&b"to victim"[..])).unwrap();
+    assert_eq!(monitor.audit().mail_outstanding.len(), 2, "mail is in flight both ways");
+
+    let delete = Op::DeleteEnclave { slot: 0 };
+    match crash_at {
+        None => {
+            world.apply(hart, &delete);
+        }
+        Some(point) => {
+            let crashed = world.apply(hart, &Op::Crashed { point, op: Box::new(delete.clone()) });
+            let fired = crashed.detail & 1 == 1;
+            assert_eq!(fired, point <= 3, "crash at crossing {point}");
+            if world.system.monitor.enclaves().contains(&victim) {
+                world.apply(hart, &delete);
+            }
+        }
+    }
+    assert_eq!(world.system.monitor.enclaves(), vec![survivor]);
+    assert_eq!(world.system.monitor.journal_pending(), 0);
+
+    // Recycle the id: the OS cleans the victim's region, takes it back and
+    // rebuilds the same image onto it.
+    let region = ResourceId::Region(victim_region);
+    world.system.monitor.clean_resource(CallerSession::os(), region).unwrap();
+    world
+        .system
+        .monitor
+        .grant_resource(CallerSession::os(), region, DomainKind::Untrusted)
+        .unwrap();
+    world.os.return_region(victim_region);
+    world.apply(hart, &Op::Build { kind: ImageKind::Hello, param: 1 });
+    let monitor = &world.system.monitor;
+    assert!(monitor.enclaves().contains(&victim), "the id was recycled");
+    let sent = monitor.send_mail(as_victim, survivor, Tainted::new(&b"stale filter"[..]));
+    assert!(
+        matches!(sent, Err(SmError::MailNotAccepted)),
+        "the survivor's filters naming the dead victim were disarmed: {sent:?}"
+    );
+    (monitor.audit().digest(), world.system.machine.state_digest(), monitor.thread_ids())
 }

@@ -167,12 +167,12 @@ impl PlatformCapacity {
     }
 }
 
-/// One region mutation inside a batched backend flush
+/// One region mutation inside a backend batch
 /// ([`IsolationBackend::apply_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RegionOp {
-    /// Assign ownership of `region` to `domain` with `perms` (the batched
-    /// form of [`IsolationBackend::assign_region`]).
+    /// Assign ownership of `region` to `domain` with `perms`, revoking all
+    /// other domains' access.
     Assign {
         /// The memory unit being reassigned.
         region: RegionId,
@@ -181,8 +181,7 @@ pub enum RegionOp {
         /// The owner's permissions.
         perms: MemPerms,
     },
-    /// Block or unblock untrusted DMA to `region` (the batched form of
-    /// [`IsolationBackend::set_dma_blocked`]).
+    /// Block or unblock untrusted DMA to `region`.
     SetDmaBlocked {
         /// The memory unit whose DMA filter changes.
         region: RegionId,
@@ -193,10 +192,13 @@ pub enum RegionOp {
 
 /// The isolation primitive contract required by the security monitor.
 ///
-/// All methods return the architectural [`Cycles`] cost of the operation so
-/// the monitor can account for the cost of enforcement (flushes, shootdowns,
-/// PMP writes) in its own bookkeeping — this cost is what the Fig. 4 / Table 2
-/// benchmarks report.
+/// Eight methods: three cached platform facts (`platform_name`, `capacity`,
+/// `regions`), one ownership query (`region_owner`), three flushes
+/// (`flush`, `tlb_shootdown`, `flush_region_cache`) and the only mutation,
+/// `apply_batch`. Every flush and mutation returns the architectural
+/// [`Cycles`] cost of the operation so the monitor can account for the cost
+/// of enforcement (flushes, shootdowns, PMP writes) in its own bookkeeping —
+/// this cost is what the Fig. 4 / Table 2 benchmarks report.
 pub trait IsolationBackend {
     /// Human-readable platform name ("sanctum", "keystone").
     fn platform_name(&self) -> &'static str;
@@ -212,30 +214,8 @@ pub trait IsolationBackend {
     /// Enumerates the isolable memory units of the platform.
     fn regions(&self) -> Vec<RegionInfo>;
 
-    /// Returns the unit containing `addr`, if any.
-    fn region_of(&self, addr: PhysAddr) -> Option<RegionId>;
-
-    /// Assigns ownership of a memory unit to `domain` with permissions
-    /// `perms` for that domain, revoking all other domains' access.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the region is unknown or the platform cannot
-    /// express the assignment (e.g. PMP exhaustion on Keystone).
-    fn assign_region(
-        &mut self,
-        region: RegionId,
-        domain: DomainKind,
-        perms: MemPerms,
-    ) -> Result<Cycles, IsolationError>;
-
     /// Returns the domain currently owning a memory unit.
     fn region_owner(&self, region: RegionId) -> Result<DomainKind, IsolationError>;
-
-    /// Checks whether `domain` may access `addr` with `perms` under the
-    /// current hardware configuration. Used by the simulated machine on every
-    /// memory access and by tests asserting non-interference.
-    fn check_access(&self, domain: DomainKind, addr: PhysAddr, perms: MemPerms) -> bool;
 
     /// Flushes the given kind of shared state, returning its cost.
     ///
@@ -266,51 +246,21 @@ pub trait IsolationBackend {
     /// Returns an error if the region is unknown.
     fn flush_region_cache(&mut self, region: RegionId) -> Result<Cycles, IsolationError>;
 
-    /// Whether DMA by untrusted devices is currently blocked from `region`.
-    fn dma_blocked(&self, region: RegionId) -> Result<bool, IsolationError>;
-
-    /// Blocks or unblocks DMA access to a memory unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the region is unknown.
-    fn set_dma_blocked(&mut self, region: RegionId, blocked: bool)
-        -> Result<Cycles, IsolationError>;
-
     /// Applies a batch of region mutations in one backend critical section,
-    /// returning their combined cost.
+    /// returning their combined cost. This is the only way the monitor
+    /// changes the isolation configuration; a single mutation is a one-op
+    /// batch.
     ///
     /// The batch is **all-or-nothing**: implementations must validate every
     /// operation (geometry, capacity — e.g. net PMP-entry demand of the whole
     /// batch) *before* mutating any state, so a rejected batch leaves the
     /// hardware configuration untouched and callers need no rollback.
-    /// Platforms override this to amortize per-flush overhead (one
-    /// TLB-shootdown round for the batch instead of one per region); the
-    /// default implementation is only the semantic reference, applying the
-    /// operations sequentially, and is *not* all-or-nothing under every
-    /// failure (a mid-batch unknown-region error leaves earlier ops applied)
-    /// — real backends must do the upfront validation.
     ///
     /// # Errors
     ///
     /// Returns an error if any operation in the batch is invalid or the
     /// platform cannot express the combined result.
-    fn apply_batch(&mut self, ops: &[RegionOp]) -> Result<Cycles, IsolationError> {
-        let mut total = Cycles::ZERO;
-        for op in ops {
-            total += match *op {
-                RegionOp::Assign {
-                    region,
-                    domain,
-                    perms,
-                } => self.assign_region(region, domain, perms)?,
-                RegionOp::SetDmaBlocked { region, blocked } => {
-                    self.set_dma_blocked(region, blocked)?
-                }
-            };
-        }
-        Ok(total)
-    }
+    fn apply_batch(&mut self, ops: &[RegionOp]) -> Result<Cycles, IsolationError>;
 }
 
 #[cfg(test)]

@@ -208,9 +208,9 @@ pub enum Op {
     /// point; the random sampler never draws it (crash placement is the
     /// sweep's job, not the PRNG's).
     Crashed {
-        /// Crash at the `point`-th fault-point crossing (0-based) of the
-        /// inner op. Points past the op's last crossing mean no crash fires
-        /// — the op completes and recovery is a no-op.
+        /// Crash at the `point`-th fault-point crossing (1-based) of the
+        /// inner op. Point 0 and points past the op's last crossing mean no
+        /// crash fires — the op completes and recovery is a no-op.
         point: u64,
         /// The interrupted op.
         op: Box<Op>,

@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sanctorum_hal::addr::PhysAddr;
 use sanctorum_hal::cycles::Cycles;
 use sanctorum_hal::domain::{CoreId, DomainKind};
 use sanctorum_hal::isolation::{
@@ -77,8 +76,11 @@ impl KeystoneBackend {
             owners: vec![DomainKind::Untrusted; num_regions],
             pmp_capacity,
         };
+        let sm_range = backend
+            .region_geometry(RegionId::new(0))
+            .expect("every machine has a region 0");
         backend
-            .assign_region(RegionId::new(0), DomainKind::SecurityMonitor, MemPerms::RWX)
+            .apply_assign(&sm_range, DomainKind::SecurityMonitor, MemPerms::RWX)
             .expect("reserving the SM range cannot fail on a fresh machine");
         backend
     }
@@ -114,10 +116,10 @@ impl KeystoneBackend {
         })
     }
 
-    /// The PMP/access-range mutation shared by
-    /// [`IsolationBackend::assign_region`] and the batched path. Geometry and
-    /// PMP capacity must already be validated; the fault point is crossed by
-    /// the caller *before* any mutation.
+    /// The PMP/access-range mutation behind [`RegionOp::Assign`] (and the
+    /// SM reservation at construction). Geometry and PMP capacity must
+    /// already be validated; [`IsolationBackend::apply_batch`] crosses the
+    /// fault point *before* any mutation.
     fn apply_assign(
         &mut self,
         info: &RegionInfo,
@@ -146,7 +148,7 @@ impl KeystoneBackend {
         Ok(())
     }
 
-    /// The DMA-filter mutation shared by the single and batched paths.
+    /// The DMA-filter mutation behind [`RegionOp::SetDmaBlocked`].
     fn apply_dma(&mut self, info: &RegionInfo, blocked: bool) {
         self.machine.with_access_mut(|a| {
             if let Some(range) = a.range_of_mut(info.base) {
@@ -178,58 +180,11 @@ impl IsolationBackend for KeystoneBackend {
             .collect()
     }
 
-    fn region_of(&self, addr: PhysAddr) -> Option<RegionId> {
-        let config = self.machine.config();
-        let offset = addr.as_u64().checked_sub(config.memory_base.as_u64())?;
-        let index = (offset / config.dram_region_size as u64) as usize;
-        if index < config.num_regions() {
-            Some(RegionId::new(index as u32))
-        } else {
-            None
-        }
-    }
-
-    fn assign_region(
-        &mut self,
-        region: RegionId,
-        domain: DomainKind,
-        perms: MemPerms,
-    ) -> Result<Cycles, IsolationError> {
-        let info = self.region_geometry(region)?;
-        let currently_protected = self.owners[region.index()] != DomainKind::Untrusted;
-        let will_be_protected = domain != DomainKind::Untrusted;
-        if will_be_protected && !currently_protected && self.pmp_entries_used() >= self.pmp_capacity
-        {
-            return Err(IsolationError::ResourceExhausted {
-                resource: "pmp entries",
-            });
-        }
-        // atomic: crossed before any PMP entry is written — a crash or
-        // injected failure here leaves the previous assignment fully intact.
-        if fault_point!(self.machine.fault_injector(), "backend.assign-region")
-            == Crossing::FailOp
-        {
-            return Err(IsolationError::TransientFault);
-        }
-        self.apply_assign(&info, domain, perms)?;
-        // Writing a PMP entry on every hart: address + config CSR per hart.
-        let cost = self
-            .machine
-            .cost_model()
-            .pmp_write
-            .scaled(2 * self.machine.num_harts() as u64);
-        Ok(cost)
-    }
-
     fn region_owner(&self, region: RegionId) -> Result<DomainKind, IsolationError> {
         self.owners
             .get(region.index())
             .copied()
             .ok_or(IsolationError::UnknownRegion(region))
-    }
-
-    fn check_access(&self, domain: DomainKind, addr: PhysAddr, perms: MemPerms) -> bool {
-        self.machine.check_access(domain, addr, perms)
     }
 
     fn flush(&mut self, core: CoreId, kind: FlushKind) -> Result<Cycles, IsolationError> {
@@ -275,27 +230,6 @@ impl IsolationBackend for KeystoneBackend {
         let cost = self.machine.with_cache_mut(|c| c.flush_all());
         self.machine.charge(cost);
         Ok(cost)
-    }
-
-    fn dma_blocked(&self, region: RegionId) -> Result<bool, IsolationError> {
-        let info = self.region_geometry(region)?;
-        Ok(self
-            .machine
-            .with_access(|a| a.range_of(info.base).map(|r| r.dma_blocked))
-            .unwrap_or(false))
-    }
-
-    fn set_dma_blocked(&mut self, region: RegionId, blocked: bool) -> Result<Cycles, IsolationError> {
-        let info = self.region_geometry(region)?;
-        // atomic: crossed before the DMA filter bit flips — the single-word
-        // update below cannot be observed half-done.
-        if fault_point!(self.machine.fault_injector(), "backend.set-dma-blocked")
-            == Crossing::FailOp
-        {
-            return Err(IsolationError::TransientFault);
-        }
-        self.apply_dma(&info, blocked);
-        Ok(self.machine.cost_model().pmp_write)
     }
 
     fn apply_batch(&mut self, ops: &[RegionOp]) -> Result<Cycles, IsolationError> {
@@ -366,9 +300,9 @@ impl IsolationBackend for KeystoneBackend {
             }
         }
         // Amortized cost: each assignment writes its address CSR on every
-        // hart, and the batch pays one shared config-CSR round (what a lone
-        // assignment pays on top — a single-op batch costs exactly what
-        // `assign_region` charges, scaled(2 × harts)).
+        // hart, and the batch pays one shared config-CSR round (a lone
+        // assignment costs scaled(2 × harts)). Each DMA toggle is one
+        // register write.
         let per_hart = self.machine.cost_model().pmp_write.scaled(self.machine.num_harts() as u64);
         let mut total = per_hart.scaled(assigns)
             + self.machine.cost_model().pmp_write.scaled(dma_toggles);
@@ -382,6 +316,7 @@ impl IsolationBackend for KeystoneBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sanctorum_hal::addr::PhysAddr;
     use sanctorum_hal::domain::EnclaveId;
     use sanctorum_machine::MachineConfig;
 
@@ -393,6 +328,14 @@ mod tests {
 
     fn enclave(id: u64) -> DomainKind {
         DomainKind::Enclave(EnclaveId::new(id))
+    }
+
+    fn assign(region: u32, domain: DomainKind) -> RegionOp {
+        RegionOp::Assign {
+            region: RegionId::new(region),
+            domain,
+            perms: MemPerms::RWX,
+        }
     }
 
     #[test]
@@ -412,23 +355,25 @@ mod tests {
             ..MachineConfig::small()
         }));
         let mut backend = KeystoneBackend::new(Arc::clone(&machine));
-        backend.assign_region(RegionId::new(1), enclave(1), MemPerms::RWX).unwrap();
-        backend.assign_region(RegionId::new(2), enclave(2), MemPerms::RWX).unwrap();
-        let err = backend
-            .assign_region(RegionId::new(3), enclave(3), MemPerms::RWX)
-            .unwrap_err();
+        backend.apply_batch(&[assign(1, enclave(1))]).unwrap();
+        backend.apply_batch(&[assign(2, enclave(2))]).unwrap();
+        let err = backend.apply_batch(&[assign(3, enclave(3))]).unwrap_err();
         assert!(matches!(err, IsolationError::ResourceExhausted { .. }));
         // Releasing one back to the OS frees an entry.
-        backend
-            .assign_region(RegionId::new(1), DomainKind::Untrusted, MemPerms::RWX)
-            .unwrap();
-        backend.assign_region(RegionId::new(3), enclave(3), MemPerms::RWX).unwrap();
+        backend.apply_batch(&[assign(1, DomainKind::Untrusted)]).unwrap();
+        backend.apply_batch(&[assign(3, enclave(3))]).unwrap();
     }
 
     #[test]
     fn isolation_enforced_via_machine() {
         let (machine, mut backend) = setup();
-        backend.assign_region(RegionId::new(2), enclave(5), MemPerms::RW).unwrap();
+        backend
+            .apply_batch(&[RegionOp::Assign {
+                region: RegionId::new(2),
+                domain: enclave(5),
+                perms: MemPerms::RW,
+            }])
+            .unwrap();
         let info = backend.regions()[2];
         assert!(machine.check_access(enclave(5), info.base, MemPerms::RW));
         assert!(!machine.check_access(DomainKind::Untrusted, info.base, MemPerms::READ));
@@ -470,7 +415,12 @@ mod tests {
         let bogus = RegionId::new(999);
         assert!(backend.region_owner(bogus).is_err());
         assert!(backend.flush_region_cache(bogus).is_err());
-        assert!(backend.set_dma_blocked(bogus, true).is_err());
+        assert!(backend
+            .apply_batch(&[RegionOp::SetDmaBlocked {
+                region: bogus,
+                blocked: true,
+            }])
+            .is_err());
     }
 
     #[test]
@@ -483,7 +433,7 @@ mod tests {
         });
         for _ in 0..2 {
             assert_eq!(
-                backend.assign_region(RegionId::new(1), enclave(7), MemPerms::RWX),
+                backend.apply_batch(&[assign(1, enclave(7))]),
                 Err(IsolationError::TransientFault)
             );
             assert_eq!(
@@ -492,9 +442,7 @@ mod tests {
                 "a failed PMP write must leave the previous assignment intact"
             );
         }
-        backend
-            .assign_region(RegionId::new(1), enclave(7), MemPerms::RWX)
-            .unwrap();
+        backend.apply_batch(&[assign(1, enclave(7))]).unwrap();
         assert_eq!(backend.region_owner(RegionId::new(1)).unwrap(), enclave(7));
         machine.fault_injector().disarm();
     }
@@ -502,9 +450,7 @@ mod tests {
     #[test]
     fn disarmed_injector_does_not_perturb_the_backend() {
         let (machine, mut backend) = setup();
-        backend
-            .assign_region(RegionId::new(2), enclave(3), MemPerms::RWX)
-            .unwrap();
+        backend.apply_batch(&[assign(2, enclave(3))]).unwrap();
         assert_eq!(machine.fault_injector().crossings(), 0);
     }
 
@@ -516,13 +462,7 @@ mod tests {
         }));
         let mut backend = KeystoneBackend::new(Arc::clone(&machine));
         // 1 entry used by the SM; a 3-assignment batch needs 3 more.
-        let ops: Vec<RegionOp> = (1..=3)
-            .map(|i| RegionOp::Assign {
-                region: RegionId::new(i),
-                domain: enclave(u64::from(i)),
-                perms: MemPerms::RWX,
-            })
-            .collect();
+        let ops: Vec<RegionOp> = (1..=3).map(|i| assign(i, enclave(u64::from(i)))).collect();
         let err = backend.apply_batch(&ops).unwrap_err();
         assert!(matches!(err, IsolationError::ResourceExhausted { .. }));
         for i in 1..=3u32 {
@@ -534,21 +474,10 @@ mod tests {
         }
         assert_eq!(backend.pmp_entries_used(), 1);
         // A batch that releases before it takes fits in the freed entries.
-        backend.assign_region(RegionId::new(1), enclave(1), MemPerms::RWX).unwrap();
-        backend.assign_region(RegionId::new(2), enclave(2), MemPerms::RWX).unwrap();
+        backend.apply_batch(&[assign(1, enclave(1))]).unwrap();
+        backend.apply_batch(&[assign(2, enclave(2))]).unwrap();
         backend
-            .apply_batch(&[
-                RegionOp::Assign {
-                    region: RegionId::new(1),
-                    domain: DomainKind::Untrusted,
-                    perms: MemPerms::RWX,
-                },
-                RegionOp::Assign {
-                    region: RegionId::new(3),
-                    domain: enclave(3),
-                    perms: MemPerms::RWX,
-                },
-            ])
+            .apply_batch(&[assign(1, DomainKind::Untrusted), assign(3, enclave(3))])
             .unwrap();
         assert_eq!(backend.pmp_entries_used(), 3);
     }
@@ -556,18 +485,19 @@ mod tests {
     #[test]
     fn batch_single_op_cost_matches_assign_region() {
         let (machine, mut backend) = setup();
-        let batched = backend
-            .apply_batch(&[RegionOp::Assign {
+        let pmp = machine.cost_model().pmp_write;
+        let harts = machine.num_harts() as u64;
+        // A lone assignment writes the address and config CSRs on every hart.
+        let assigned = backend.apply_batch(&[assign(1, enclave(1))]).unwrap();
+        assert_eq!(assigned, pmp.scaled(2 * harts));
+        // A lone DMA toggle is one register write.
+        let toggled = backend
+            .apply_batch(&[RegionOp::SetDmaBlocked {
                 region: RegionId::new(1),
-                domain: enclave(1),
-                perms: MemPerms::RWX,
+                blocked: false,
             }])
             .unwrap();
-        let single = backend
-            .assign_region(RegionId::new(2), enclave(2), MemPerms::RWX)
-            .unwrap();
-        assert_eq!(batched, single);
-        let _ = machine;
+        assert_eq!(toggled, pmp);
     }
 
     #[test]

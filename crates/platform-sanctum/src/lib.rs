@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sanctorum_hal::addr::PhysAddr;
 use sanctorum_hal::cycles::Cycles;
 use sanctorum_hal::domain::{CoreId, DomainKind};
 use sanctorum_hal::isolation::{
@@ -65,8 +64,11 @@ impl SanctumBackend {
             machine,
             owners: vec![DomainKind::Untrusted; num_regions],
         };
+        let sm_region = backend
+            .region_geometry(RegionId::new(0))
+            .expect("every machine has a region 0");
         backend
-            .assign_region(RegionId::new(0), DomainKind::SecurityMonitor, MemPerms::RWX)
+            .apply_assign(&sm_region, DomainKind::SecurityMonitor, MemPerms::RWX)
             .expect("reserving the SM region cannot fail on a fresh machine");
         backend
     }
@@ -91,10 +93,11 @@ impl SanctumBackend {
         PartitionId(region.0 % CACHE_PARTITIONS)
     }
 
-    /// The region-map mutation shared by [`IsolationBackend::assign_region`]
-    /// and the batched path: reprogram the access range, record the owner,
-    /// rebind the cache partition. Geometry must already be validated; the
-    /// fault point is crossed by the caller *before* any mutation.
+    /// The region-map mutation behind [`RegionOp::Assign`] (and the SM
+    /// reservation at construction): reprogram the access range, record the
+    /// owner, rebind the cache partition. Geometry must already be
+    /// validated; [`IsolationBackend::apply_batch`] crosses the fault point
+    /// *before* any mutation.
     fn apply_assign(
         &mut self,
         info: &RegionInfo,
@@ -125,7 +128,7 @@ impl SanctumBackend {
         Ok(())
     }
 
-    /// The DMA-filter mutation shared by the single and batched paths.
+    /// The DMA-filter mutation behind [`RegionOp::SetDmaBlocked`].
     fn apply_dma(&mut self, info: &RegionInfo, blocked: bool) {
         self.machine.with_access_mut(|a| {
             if let Some(range) = a.range_of_mut(info.base) {
@@ -155,45 +158,11 @@ impl IsolationBackend for SanctumBackend {
             .collect()
     }
 
-    fn region_of(&self, addr: PhysAddr) -> Option<RegionId> {
-        let config = self.machine.config();
-        let offset = addr.as_u64().checked_sub(config.memory_base.as_u64())?;
-        let index = (offset / config.dram_region_size as u64) as usize;
-        if index < config.num_regions() {
-            Some(RegionId::new(index as u32))
-        } else {
-            None
-        }
-    }
-
-    fn assign_region(
-        &mut self,
-        region: RegionId,
-        domain: DomainKind,
-        perms: MemPerms,
-    ) -> Result<Cycles, IsolationError> {
-        let info = self.region_geometry(region)?;
-        // atomic: crossed before the region map is touched — a crash or
-        // injected failure here leaves the previous assignment fully intact.
-        if fault_point!(self.machine.fault_injector(), "backend.assign-region")
-            == Crossing::FailOp
-        {
-            return Err(IsolationError::TransientFault);
-        }
-        self.apply_assign(&info, domain, perms)?;
-        // Reprogramming the region map costs a handful of CSR writes.
-        Ok(self.machine.cost_model().pmp_write.scaled(4))
-    }
-
     fn region_owner(&self, region: RegionId) -> Result<DomainKind, IsolationError> {
         self.owners
             .get(region.index())
             .copied()
             .ok_or(IsolationError::UnknownRegion(region))
-    }
-
-    fn check_access(&self, domain: DomainKind, addr: PhysAddr, perms: MemPerms) -> bool {
-        self.machine.check_access(domain, addr, perms)
     }
 
     fn flush(&mut self, core: CoreId, kind: FlushKind) -> Result<Cycles, IsolationError> {
@@ -243,27 +212,6 @@ impl IsolationBackend for SanctumBackend {
         Ok(cost)
     }
 
-    fn dma_blocked(&self, region: RegionId) -> Result<bool, IsolationError> {
-        let info = self.region_geometry(region)?;
-        Ok(self
-            .machine
-            .with_access(|a| a.range_of(info.base).map(|r| r.dma_blocked))
-            .unwrap_or(false))
-    }
-
-    fn set_dma_blocked(&mut self, region: RegionId, blocked: bool) -> Result<Cycles, IsolationError> {
-        let info = self.region_geometry(region)?;
-        // atomic: crossed before the DMA bit flips — the toggle is a single
-        // register write that either happened or did not.
-        if fault_point!(self.machine.fault_injector(), "backend.set-dma-blocked")
-            == Crossing::FailOp
-        {
-            return Err(IsolationError::TransientFault);
-        }
-        self.apply_dma(&info, blocked);
-        Ok(self.machine.cost_model().pmp_write)
-    }
-
     fn apply_batch(&mut self, ops: &[RegionOp]) -> Result<Cycles, IsolationError> {
         // Validate every operation's geometry before touching anything: the
         // batch is all-or-nothing, and on Sanctum geometry is the only way a
@@ -310,9 +258,9 @@ impl IsolationBackend for SanctumBackend {
             }
         }
         // Amortized cost: each assignment updates its region-map entry (two
-        // CSR writes), and the whole batch pays one shared commit round (the
-        // same two writes a lone assignment pays on top — so a single-op
-        // batch costs exactly what `assign_region` charges, scaled(4)).
+        // CSR writes), and the whole batch pays one shared commit round (two
+        // more writes — a lone assignment costs scaled(4)). Each DMA toggle
+        // is one register write.
         let pmp_write = self.machine.cost_model().pmp_write;
         let mut total = pmp_write.scaled(2 * assigns) + pmp_write.scaled(dma_toggles);
         if assigns > 0 {
@@ -325,6 +273,7 @@ impl IsolationBackend for SanctumBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sanctorum_hal::addr::PhysAddr;
     use sanctorum_hal::domain::EnclaveId;
     use sanctorum_machine::{FaultInjector, FaultPlan, MachineConfig};
 
@@ -336,6 +285,26 @@ mod tests {
 
     fn enclave(id: u64) -> DomainKind {
         DomainKind::Enclave(EnclaveId::new(id))
+    }
+
+    fn assign(region: u32, domain: DomainKind) -> RegionOp {
+        RegionOp::Assign {
+            region: RegionId::new(region),
+            domain,
+            perms: MemPerms::RWX,
+        }
+    }
+
+    fn set_dma(region: u32, blocked: bool) -> RegionOp {
+        RegionOp::SetDmaBlocked {
+            region: RegionId::new(region),
+            blocked,
+        }
+    }
+
+    /// Whether an untrusted device can DMA into the first page of `base`.
+    fn dma_reaches(machine: &Machine, base: PhysAddr) -> bool {
+        machine.dma_copy(base, base, 8).is_ok()
     }
 
     #[test]
@@ -368,33 +337,19 @@ mod tests {
     }
 
     #[test]
-    fn region_of_maps_addresses() {
-        let (machine, backend) = setup();
-        let base = machine.config().memory_base;
-        let size = machine.config().dram_region_size as u64;
-        assert_eq!(backend.region_of(base), Some(RegionId::new(0)));
-        assert_eq!(backend.region_of(base.offset(size)), Some(RegionId::new(1)));
-        assert_eq!(
-            backend.region_of(base.offset(size * 2 + 42)),
-            Some(RegionId::new(2))
-        );
-        assert_eq!(backend.region_of(PhysAddr::new(0)), None);
-    }
-
-    #[test]
     fn assignment_enforced_by_machine_access_checks() {
         let (machine, mut backend) = setup();
-        let region = RegionId::new(2);
-        backend.assign_region(region, enclave(7), MemPerms::RWX).unwrap();
+        let pmp = machine.cost_model().pmp_write;
+        let cost = backend.apply_batch(&[assign(2, enclave(7))]).unwrap();
+        assert_eq!(cost, pmp.scaled(4), "a lone assignment is four CSR writes");
         let info = backend.regions()[2];
         assert!(machine.check_access(enclave(7), info.base, MemPerms::RW));
         assert!(!machine.check_access(DomainKind::Untrusted, info.base, MemPerms::READ));
-        assert!(backend.dma_blocked(region).unwrap());
+        assert!(!dma_reaches(&machine, info.base));
         // Reassign back to the OS.
-        backend
-            .assign_region(region, DomainKind::Untrusted, MemPerms::RWX)
-            .unwrap();
+        backend.apply_batch(&[assign(2, DomainKind::Untrusted)]).unwrap();
         assert!(machine.check_access(DomainKind::Untrusted, info.base, MemPerms::RW));
+        assert!(dma_reaches(&machine, info.base));
     }
 
     #[test]
@@ -402,7 +357,7 @@ mod tests {
         let (_, mut backend) = setup();
         let bogus = RegionId::new(1000);
         assert!(backend.region_owner(bogus).is_err());
-        assert!(backend.assign_region(bogus, DomainKind::Untrusted, MemPerms::RW).is_err());
+        assert!(backend.apply_batch(&[assign(1000, DomainKind::Untrusted)]).is_err());
         assert!(backend.tlb_shootdown(bogus).is_err());
         assert!(backend.flush_region_cache(bogus).is_err());
         assert!(backend.flush(CoreId::new(99), FlushKind::CoreState).is_err());
@@ -442,13 +397,13 @@ mod tests {
             times: 2,
         });
         for _ in 0..2 {
-            let err = backend.assign_region(region, enclave(9), MemPerms::RWX).unwrap_err();
+            let err = backend.apply_batch(&[assign(2, enclave(9))]).unwrap_err();
             assert_eq!(err, IsolationError::TransientFault);
             // The failed assignment mutated nothing: still OS-owned.
             assert_eq!(backend.region_owner(region).unwrap(), DomainKind::Untrusted);
         }
         // Third attempt: the fault budget is exhausted.
-        backend.assign_region(region, enclave(9), MemPerms::RWX).unwrap();
+        backend.apply_batch(&[assign(2, enclave(9))]).unwrap();
         assert_eq!(backend.region_owner(region).unwrap(), enclave(9));
         machine.fault_injector().disarm();
     }
@@ -457,40 +412,34 @@ mod tests {
     fn disarmed_injector_does_not_perturb_the_backend() {
         let (machine, mut backend) = setup();
         let _: &FaultInjector = machine.fault_injector();
-        backend.assign_region(RegionId::new(1), enclave(3), MemPerms::RW).unwrap();
+        backend.apply_batch(&[assign(1, enclave(3))]).unwrap();
         assert_eq!(machine.fault_injector().crossings(), 0);
     }
 
     #[test]
     fn dma_block_toggle() {
-        let (_, mut backend) = setup();
-        let region = RegionId::new(3);
-        backend.assign_region(region, enclave(1), MemPerms::RW).unwrap();
-        assert!(backend.dma_blocked(region).unwrap());
-        backend.set_dma_blocked(region, false).unwrap();
-        assert!(!backend.dma_blocked(region).unwrap());
+        let (machine, mut backend) = setup();
+        let base = backend.regions()[3].base;
+        // An explicit OS assignment installs the region's filter, open.
+        backend.apply_batch(&[assign(3, DomainKind::Untrusted)]).unwrap();
+        assert!(dma_reaches(&machine, base), "OS memory is DMA-reachable");
+        let cost = backend.apply_batch(&[set_dma(3, true)]).unwrap();
+        assert_eq!(cost, machine.cost_model().pmp_write, "a toggle is one register write");
+        assert!(!dma_reaches(&machine, base));
+        backend.apply_batch(&[set_dma(3, false)]).unwrap();
+        assert!(dma_reaches(&machine, base));
     }
 
     #[test]
     fn batch_applies_like_singles_with_single_op_cost_parity() {
         let (machine, mut backend) = setup();
         let cost = backend
-            .apply_batch(&[
-                RegionOp::Assign {
-                    region: RegionId::new(2),
-                    domain: enclave(4),
-                    perms: MemPerms::RWX,
-                },
-                RegionOp::SetDmaBlocked {
-                    region: RegionId::new(2),
-                    blocked: true,
-                },
-            ])
+            .apply_batch(&[assign(2, enclave(4)), set_dma(2, true)])
             .unwrap();
         assert_eq!(backend.region_owner(RegionId::new(2)).unwrap(), enclave(4));
-        assert!(backend.dma_blocked(RegionId::new(2)).unwrap());
-        // One assignment in a batch costs exactly what assign_region charges
-        // (plus the DMA toggle's register write).
+        assert!(!dma_reaches(&machine, backend.regions()[2].base));
+        // One assignment in a batch costs exactly what a lone assignment
+        // does (plus the DMA toggle's register write).
         let pmp = machine.cost_model().pmp_write;
         assert_eq!(cost, pmp.scaled(4) + pmp);
     }
