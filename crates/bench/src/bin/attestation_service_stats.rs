@@ -56,6 +56,7 @@ fn main() {
     }
 
     let calibration = calibrate();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ca = ManufacturerCa::new([0x11; 32]);
     let (system, _os, fleet, signing_enclave) =
         boot_attestation_service(PlatformKind::Sanctum, clients);
@@ -139,6 +140,7 @@ fn main() {
     println!("service sig cache:     {cache_hits} hits / {signatures} signed");
     println!("verifier chain cache:  {} hits", verifier.chain_cache_hits());
     println!("calibration:           {calibration:.0} hashes/sec");
+    println!("host cpus:             {host_cpus}");
 
     if let Some(path) = &out {
         let json = render_json(
@@ -148,6 +150,7 @@ fn main() {
             batched_per_second,
             speedup,
             calibration,
+            host_cpus,
         );
         std::fs::write(path, json).expect("write result JSON");
         println!("\nwrote {path}");
@@ -189,6 +192,7 @@ fn render_json(
     batched_per_second: f64,
     speedup: f64,
     calibration: f64,
+    host_cpus: usize,
 ) -> String {
     // The baseline block freezes the pre-fabric serial measurement (single
     // 1 KB mailbox cells, per-request key fetch, chainless-cache verifier)
@@ -205,6 +209,7 @@ fn render_json(
   "batched_attestations_per_second": {batched_per_second:.2},
   "speedup": {speedup:.2},
   "calibration_hashes_per_second": {calibration:.1},
+  "host_cpus": {host_cpus},
   "baseline_serial_single_slot": {{
     "description": "pre-fabric shape: one-slot mailboxes, per-request key fetch + derivation, full chain verification per evidence",
     "attestations_per_second": {serial_per_second:.2}

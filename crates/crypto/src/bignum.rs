@@ -1,10 +1,11 @@
-//! Minimal fixed-width big-integer arithmetic.
+//! Minimal fixed-width big-integer arithmetic: the test oracle.
 //!
-//! [`U512`] supports exactly what the Ed25519 scalar field needs: conversion
+//! [`U512`] does exactly what checking the curve kernels needs: conversion
 //! from little-endian byte strings, comparison, addition, schoolbook
 //! multiplication of 256-bit halves, and reduction modulo an arbitrary
-//! 256-bit modulus via binary long division. Performance is irrelevant here —
-//! signing happens a handful of times per attestation — so clarity wins.
+//! 256-bit modulus via binary long division. The scalar and field modules
+//! reduce with fixed-cost kernels; their tests compare against this
+//! bit-serial reference, which is compiled only for tests.
 
 use core::cmp::Ordering;
 
@@ -33,7 +34,7 @@ impl U512 {
     }
 
     /// Returns the low 32 little-endian bytes.
-    pub fn to_le_bytes_32(&self) -> [u8; 32] {
+    pub fn to_le_bytes_32(self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..32 {
             out[i] = ((self.limbs[i / 8] >> ((i % 8) * 8)) & 0xff) as u8;

@@ -1,13 +1,38 @@
 //! Arithmetic in GF(2^255 - 19), the base field of Curve25519.
 //!
-//! Elements are stored as five 51-bit little-endian limbs. The code favours
-//! clarity over speed: every operation finishes with a carry pass so limbs
-//! stay comfortably below 2^52 and intermediate products fit in `u128`.
+//! Elements are stored as five 51-bit little-endian limbs and are reduced
+//! lazily. The invariant every caller keeps: **each limb is below 2^54 on
+//! entry to [`FieldElement::mul`](Mul), [`FieldElement::square`] and
+//! [`FieldElement::mul_small`]** (a `debug_assert!` checks it there). Under
+//! it every `19·b` limb fits a `u64` and every column sum fits a `u128`.
+//!
+//! * `mul`, `square` and `mul_small` run one carry chain over the wide
+//!   columns that ends in a single limb-0 carry: their limbs come out below
+//!   2^51 + 2^13 ("reduced").
+//! * `Add` does no carry pass at all. The sum of up to seven reduced
+//!   elements stays below 2^54, which is all the curve formulas need.
+//! * `Sub` and `Neg` add `16p` (so no limb underflows for any operand below
+//!   2^54) and finish with one parallel weak reduction: reduced output.
+//! * [`FieldElement::to_bytes`] is the only full reduction; equality, sign
+//!   and zero tests go through it.
 
 use core::ops::{Add, Mul, Neg, Sub};
 
 /// Mask selecting the low 51 bits of a limb.
 const LOW_51: u64 = (1 << 51) - 1;
+
+/// Every limb of an operand of `mul`, `square` and `mul_small` stays below
+/// this bound.
+const LIMB_BOUND: u64 = 1 << 54;
+
+/// `16p` in limb form: added before a subtraction so no limb underflows.
+const SIXTEEN_P: [u64; 5] = [
+    0x7f_ffff_ffff_fed0,
+    0x7f_ffff_ffff_fff0,
+    0x7f_ffff_ffff_fff0,
+    0x7f_ffff_ffff_fff0,
+    0x7f_ffff_ffff_fff0,
+];
 
 /// An element of GF(2^255 - 19).
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +56,8 @@ impl FieldElement {
     }
 
     /// Decodes an element from 32 little-endian bytes, ignoring the top bit
-    /// (bit 255) per the Curve25519 conventions.
+    /// (bit 255) per the Curve25519 conventions. Values in `[p, 2^255)` are
+    /// accepted unreduced.
     pub fn from_bytes(bytes: &[u8; 32]) -> Self {
         let load = |start: usize| -> u64 {
             let mut v = 0u64;
@@ -52,13 +78,26 @@ impl FieldElement {
             ((w2 >> 25) | (w3 << 39)) & LOW_51,
             (w3 >> 12) & LOW_51,
         ];
-        FieldElement { limbs }.carried()
+        FieldElement { limbs }
     }
 
     /// Encodes the element as 32 little-endian bytes in fully reduced form.
+    ///
+    /// A fixed sequence: one weak reduction brings the value below `2p`,
+    /// then `q = 1` exactly when it is at least `p`, and adding `19q` and
+    /// dropping bit 255 subtracts `qp`.
     pub fn to_bytes(&self) -> [u8; 32] {
-        let reduced = self.freeze();
-        let l = reduced.limbs;
+        let mut l = Self::weak_reduce(self.limbs).limbs;
+        let mut q = (l[0] + 19) >> 51;
+        for i in 1..5 {
+            q = (l[i] + q) >> 51;
+        }
+        l[0] += 19 * q;
+        for i in 0..4 {
+            l[i + 1] += l[i] >> 51;
+            l[i] &= LOW_51;
+        }
+        l[4] &= LOW_51;
         let mut out = [0u8; 32];
         let w0 = l[0] | (l[1] << 51);
         let w1 = (l[1] >> 13) | (l[2] << 38);
@@ -71,47 +110,29 @@ impl FieldElement {
         out
     }
 
-    /// One carry pass: brings every limb below 2^51 plus a small excess in
-    /// limb 0.
-    fn carried(mut self) -> Self {
-        let mut carry;
-        for i in 0..4 {
-            carry = self.limbs[i] >> 51;
-            self.limbs[i] &= LOW_51;
-            self.limbs[i + 1] += carry;
+    /// One parallel carry pass: every limb keeps its low 51 bits and passes
+    /// the rest up (limb 4's excess wraps to limb 0 times 19). Limbs below
+    /// 2^58 come out reduced.
+    fn weak_reduce(l: [u64; 5]) -> Self {
+        FieldElement {
+            limbs: [
+                (l[0] & LOW_51) + (l[4] >> 51) * 19,
+                (l[1] & LOW_51) + (l[0] >> 51),
+                (l[2] & LOW_51) + (l[1] >> 51),
+                (l[3] & LOW_51) + (l[2] >> 51),
+                (l[4] & LOW_51) + (l[3] >> 51),
+            ],
         }
-        carry = self.limbs[4] >> 51;
-        self.limbs[4] &= LOW_51;
-        self.limbs[0] += carry * 19;
-        // One more partial pass to keep limb 0 in range.
-        let c = self.limbs[0] >> 51;
-        self.limbs[0] &= LOW_51;
-        self.limbs[1] += c;
-        self
     }
 
-    /// Produces the canonical representative (all limbs < 2^51 and the value
-    /// < p).
-    fn freeze(&self) -> Self {
-        let mut v = self.carried().carried();
-        // Now v < 2^255 + small. Subtract p if v >= p, possibly twice.
-        for _ in 0..2 {
-            // Compute v - p = v - (2^255 - 19) = v + 19 - 2^255.
-            let mut t = v.limbs;
-            t[0] += 19;
-            let mut carry;
-            for i in 0..4 {
-                carry = t[i] >> 51;
-                t[i] &= LOW_51;
-                t[i + 1] += carry;
-            }
-            let borrow = t[4] >> 51; // set iff v + 19 >= 2^255, i.e. v >= p
-            t[4] &= LOW_51;
-            if borrow != 0 {
-                v.limbs = t;
-            }
-        }
-        v
+    /// Checks the limb bound the multiplication kernels rely on.
+    #[inline(always)]
+    fn debug_assert_bounded(&self) {
+        debug_assert!(
+            self.limbs.iter().all(|&l| l < LIMB_BOUND),
+            "field limb at or above 2^54: {:?}",
+            self.limbs
+        );
     }
 
     /// Returns `true` if the element equals zero.
@@ -134,17 +155,17 @@ impl FieldElement {
     /// is the single hottest primitive in the crate.
     #[must_use]
     pub fn square(&self) -> Self {
+        self.debug_assert_bounded();
         let a = &self.limbs;
         let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
-        let d0 = a[0] * 2;
-        let d1 = a[1] * 2;
-        let d3 = a[3] * 2;
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
 
-        let c0 = m(a[0], a[0]) + 38 * (m(a[1], a[4]) + m(a[2], a[3]));
-        let c1 = m(d0, a[1]) + 38 * m(a[2], a[4]) + 19 * m(a[3], a[3]);
-        let c2 = m(d0, a[2]) + m(a[1], a[1]) + 19 * m(d3, a[4]);
-        let c3 = m(d0, a[3]) + m(d1, a[2]) + 19 * m(a[4], a[4]);
-        let c4 = m(d0, a[4]) + m(d1, a[3]) + m(a[2], a[2]);
+        let c0 = m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19));
+        let c1 = m(a[3], a3_19) + 2 * (m(a[0], a[1]) + m(a[2], a4_19));
+        let c2 = m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3_19));
+        let c3 = m(a[4], a4_19) + 2 * (m(a[0], a[3]) + m(a[1], a[2]));
+        let c4 = m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3]));
 
         Self::carry_wide([c0, c1, c2, c3, c4])
     }
@@ -153,25 +174,27 @@ impl FieldElement {
     /// `a24 = 121665`) without paying a full 25-multiplication product.
     #[must_use]
     pub fn mul_small(&self, k: u32) -> Self {
+        self.debug_assert_bounded();
         let k = k as u128;
         let c = self.limbs.map(|l| (l as u128) * k);
         Self::carry_wide(c)
     }
 
-    /// Reduces five wide column sums into a carried element (the shared tail
-    /// of multiplication, squaring and small-constant multiplication).
+    /// Reduces five wide column sums to a reduced element: one carry chain
+    /// from column 0 to column 4, whose top carry wraps to limb 0 times 19,
+    /// and one final carry out of limb 0. The shared tail of
+    /// multiplication, squaring and small-constant multiplication.
     fn carry_wide(mut c: [u128; 5]) -> Self {
-        let mut limbs = [0u64; 5];
-        let mut carry: u128;
-        carry = c[0] >> 51;
-        limbs[0] = (c[0] as u64) & LOW_51;
-        for i in 1..5 {
-            c[i] += carry;
-            carry = c[i] >> 51;
-            limbs[i] = (c[i] as u64) & LOW_51;
+        for i in 0..4 {
+            // Each carry fits a u64, so it joins the next column as one.
+            c[i + 1] += ((c[i] >> 51) as u64) as u128;
         }
-        limbs[0] += (carry as u64) * 19;
-        FieldElement { limbs }.carried()
+        let mut limbs = c.map(|w| (w as u64) & LOW_51);
+        // Operands below 2^54 keep column 4 below 2^111, so `19·carry` fits.
+        limbs[0] += ((c[4] >> 51) as u64) * 19;
+        limbs[1] += limbs[0] >> 51;
+        limbs[0] &= LOW_51;
+        FieldElement { limbs }
     }
 
     /// Squares the element `n` times in sequence.
@@ -274,6 +297,15 @@ impl FieldElement {
     pub fn conditional_swap(choice: u8, a: &mut Self, b: &mut Self) {
         crate::ct::ct_swap_u64(choice, &mut a.limbs, &mut b.limbs);
     }
+
+    /// Replaces `self` with `other` when `choice` is 1, without branching
+    /// on `choice`.
+    pub(crate) fn conditional_assign(&mut self, other: &Self, choice: u8) {
+        let mask = (choice as u64).wrapping_neg();
+        for (l, o) in self.limbs.iter_mut().zip(&other.limbs) {
+            *l ^= mask & (*l ^ *o);
+        }
+    }
 }
 
 impl PartialEq for FieldElement {
@@ -286,31 +318,24 @@ impl Eq for FieldElement {}
 
 impl Add for FieldElement {
     type Output = FieldElement;
+    /// Limb-wise sum with no carry pass (see the module doc for the bound).
     fn add(self, rhs: Self) -> Self {
-        let mut limbs = [0u64; 5];
+        let mut limbs = self.limbs;
         for i in 0..5 {
-            limbs[i] = self.limbs[i] + rhs.limbs[i];
+            limbs[i] += rhs.limbs[i];
         }
-        FieldElement { limbs }.carried()
+        FieldElement { limbs }
     }
 }
 
 impl Sub for FieldElement {
     type Output = FieldElement;
     fn sub(self, rhs: Self) -> Self {
-        // Add 2p before subtracting so limbs never underflow.
-        const TWO_P: [u64; 5] = [
-            0xfffffffffffda,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-        ];
         let mut limbs = [0u64; 5];
         for i in 0..5 {
-            limbs[i] = self.limbs[i] + TWO_P[i] - rhs.limbs[i];
+            limbs[i] = (self.limbs[i] + SIXTEEN_P[i]) - rhs.limbs[i];
         }
-        FieldElement { limbs }.carried()
+        FieldElement::weak_reduce(limbs)
     }
 }
 
@@ -324,20 +349,22 @@ impl Neg for FieldElement {
 impl Mul for FieldElement {
     type Output = FieldElement;
     fn mul(self, rhs: Self) -> Self {
+        self.debug_assert_bounded();
+        rhs.debug_assert_bounded();
         let a = &self.limbs;
         let b = &rhs.limbs;
         let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+        // The wrapped-around columns, precomputed once as u64 (b < 2^54).
+        let b1_19 = 19 * b[1];
+        let b2_19 = 19 * b[2];
+        let b3_19 = 19 * b[3];
+        let b4_19 = 19 * b[4];
 
-        let mut c0 = m(a[0], b[0]);
-        let mut c1 = m(a[0], b[1]) + m(a[1], b[0]);
-        let mut c2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]);
-        let mut c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]);
-        let c4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        c0 += 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        c1 += 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        c2 += 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        c3 += 19 * m(a[4], b[4]);
+        let c0 = m(a[0], b[0]) + m(a[4], b1_19) + m(a[3], b2_19) + m(a[2], b3_19) + m(a[1], b4_19);
+        let c1 = m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2_19) + m(a[3], b3_19) + m(a[2], b4_19);
+        let c2 = m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3_19) + m(a[3], b4_19);
+        let c3 = m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4_19);
+        let c4 = m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]);
 
         FieldElement::carry_wide([c0, c1, c2, c3, c4])
     }
@@ -346,10 +373,88 @@ impl Mul for FieldElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bignum::U512;
     use proptest::prelude::*;
 
     fn fe(v: u64) -> FieldElement {
         FieldElement::from_u64(v)
+    }
+
+    fn modulus() -> U512 {
+        let mut p = [0xffu8; 32];
+        p[0] = 0xed;
+        p[31] = 0x7f;
+        U512::from_le_bytes(&p)
+    }
+
+    /// The element's value `Σ limb_i · 2^(51i)` reduced mod p by the
+    /// bit-serial oracle, independent of the kernels under test.
+    fn value(x: &FieldElement) -> U512 {
+        let mut acc = U512::ZERO;
+        for &limb in x.limbs.iter().rev() {
+            for _ in 0..51 {
+                acc = acc.shl1();
+            }
+            acc = acc.wrapping_add(&U512::from_le_bytes(&limb.to_le_bytes()));
+        }
+        acc.reduce_mod(&modulus())
+    }
+
+    /// Limbs drawn up to the stated bound, 2^54 − 1.
+    fn at_bound(bytes: &[u8; 40]) -> FieldElement {
+        FieldElement {
+            limbs: core::array::from_fn(|i| {
+                u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+                    & (LIMB_BOUND - 1)
+            }),
+        }
+    }
+
+    /// Checks every kernel on `(a, b)` against the oracle, and that the
+    /// outputs promised to be reduced are below 2^51 + 2^13.
+    fn check_against_oracle(a: FieldElement, b: FieldElement) {
+        let p = modulus();
+        let (va, vb) = (value(&a), value(&b));
+        let reduced = |x: &FieldElement| x.limbs.iter().all(|&l| l < (1 << 51) + (1 << 13));
+        let cases = [
+            (a * b, U512::mul_256(&va, &vb).reduce_mod(&p), true),
+            (a.square(), U512::mul_256(&va, &va).reduce_mod(&p), true),
+            (
+                a.mul_small(121665),
+                U512::mul_256(&va, &U512::from_le_bytes(&121665u32.to_le_bytes())).reduce_mod(&p),
+                true,
+            ),
+            (a + b, va.wrapping_add(&vb).reduce_mod(&p), false),
+            (
+                a - b,
+                va.wrapping_add(&p).wrapping_sub(&vb).reduce_mod(&p),
+                true,
+            ),
+            (-a, p.wrapping_sub(&va).reduce_mod(&p), true),
+        ];
+        for (i, (got, expected, promised_reduced)) in cases.iter().enumerate() {
+            assert_eq!(value(got), *expected, "kernel {i} on {a:?}, {b:?}");
+            assert_eq!(
+                got.to_bytes(),
+                expected.to_le_bytes_32(),
+                "kernel {i} encoding"
+            );
+            assert!(!promised_reduced || reduced(got), "kernel {i} left {got:?}");
+        }
+    }
+
+    #[test]
+    fn kernels_match_oracle_at_the_limb_bound() {
+        let max = FieldElement {
+            limbs: [LIMB_BOUND - 1; 5],
+        };
+        check_against_oracle(max, max);
+        check_against_oracle(max, FieldElement::ZERO);
+        check_against_oracle(FieldElement::ZERO, max);
+        // p itself and p − 1 in canonical limbs.
+        let p_minus_1 = -FieldElement::ONE;
+        check_against_oracle(p_minus_1, p_minus_1);
+        check_against_oracle(p_minus_1 + FieldElement::ONE, max);
     }
 
     #[test]
@@ -481,6 +586,24 @@ mod tests {
             exp[0] = 0xfd;
             exp[31] = 0x0f;
             prop_assert_eq!(x.pow_p58(), x.pow_le(&exp));
+        }
+
+        #[test]
+        fn kernels_match_oracle(a in any::<[u8; 40]>(), b in any::<[u8; 40]>()) {
+            check_against_oracle(at_bound(&a), at_bound(&b));
+        }
+
+        #[test]
+        fn kernels_match_oracle_on_unreduced_sums(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+            // Seven reduced elements summed without a carry pass: the widest
+            // operand the curve formulas may hand to a multiplication.
+            let x = FieldElement::from_bytes(&a).square();
+            let y = FieldElement::from_bytes(&b) * x;
+            let sum = x + y + x + y + x + y + x;
+            let other = y + y + y + x;
+            prop_assert!(sum.limbs.iter().all(|&l| l < LIMB_BOUND));
+            check_against_oracle(sum, other);
+            check_against_oracle(other, sum);
         }
 
         #[test]

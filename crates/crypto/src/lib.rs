@@ -48,7 +48,6 @@
 // explicit indices than with iterator adaptors; keep clippy quiet about them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod bignum;
 pub mod chacha;
 pub mod ct;
 pub mod drbg;
@@ -64,3 +63,8 @@ pub mod x25519;
 pub use drbg::ChaChaDrbg;
 pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
 pub use sha3::{Sha3_256, Sha3_512, Shake256};
+
+// The bit-serial big-integer oracle the scalar and field kernels are tested
+// against; no production path uses it.
+#[cfg(test)]
+mod bignum;
