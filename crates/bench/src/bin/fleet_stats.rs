@@ -14,7 +14,7 @@
 //! 2. **Verifier scaling** — attestation evidence is pre-generated over the
 //!    fabric, then verified twice on fresh challenge sets: once serially on
 //!    one thread, once split across `threads` threads sharing the verifier.
-//!    The ratio is the concurrency speedup of the sharded verifier tier.
+//!    The ratio is the concurrency speedup of the shared verifier.
 //!
 //! Usage:
 //!

@@ -7,6 +7,11 @@
 //! trusted computing base: the monitor, the platform backends, the
 //! trust-boundary sanitizer and the cryptography.
 //!
+//! Code LOC counts production code only: comment lines, `#[cfg(test)]`
+//! items, files under `tests/`, `benches/` or `examples/` directories and
+//! files of modules declared `#[cfg(test)] mod name;` all count towards
+//! "LOC w/tests" alone.
+//!
 //! Usage:
 //!
 //! ```text
@@ -87,12 +92,22 @@ const GROUPS: &[Group] = &[
         name: "benchmarks, tests and examples",
         key: "benchmarks_tests_examples",
         dirs: &["crates/bench", "tests", "examples"],
-        note: "paper: n/a",
+        note: "paper: n/a (code LOC: the bench harness itself)",
         tcb: false,
     },
 ];
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Directories that hold tests, benchmarks or examples, wherever they sit.
+const TEST_DIRS: &[&str] = &["tests", "benches", "examples"];
+
+/// Collects the `.rs` files under `dir`, each paired with whether it lies
+/// in one of the [`TEST_DIRS`].
+fn rust_files(dir: &Path, in_test_dir: bool, out: &mut Vec<(PathBuf, bool)>) {
+    let in_test_dir = in_test_dir
+        || dir
+            .file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(|name| TEST_DIRS.contains(&name));
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
             let path = entry.path();
@@ -100,45 +115,108 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
                 if path.file_name().is_some_and(|n| n == "target") {
                     continue;
                 }
-                rust_files(&path, out);
+                rust_files(&path, in_test_dir, out);
             } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
+                out.push((path, in_test_dir));
             }
         }
     }
 }
 
-fn count_loc(dir: &Path) -> (usize, usize) {
-    // Returns (total non-blank lines, lines excluding tests and comments).
-    let mut files = Vec::new();
-    rust_files(dir, &mut files);
+/// The paths of the modules that `text`, the source of `file`, declares
+/// out of line as `#[cfg(test)] mod name;`: the module's `name.rs` and its
+/// `name/` directory.
+fn test_module_paths(file: &Path, text: &str) -> Vec<PathBuf> {
+    let dir = file.parent().unwrap_or(Path::new(""));
+    let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let module_dir = match stem {
+        "lib" | "main" | "mod" => dir.to_path_buf(),
+        _ => dir.join(stem),
+    };
+    let mut paths = Vec::new();
+    let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("#[cfg(test)]") else {
+            continue;
+        };
+        let item = match rest.trim() {
+            "" => lines.next().unwrap_or(""),
+            item => item,
+        };
+        let Some((_, name)) = item
+            .strip_suffix(';')
+            .and_then(|decl| decl.rsplit_once("mod "))
+        else {
+            continue;
+        };
+        let name = name.trim();
+        if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            paths.push(module_dir.join(format!("{name}.rs")));
+            paths.push(module_dir.join(name));
+        }
+    }
+    paths
+}
+
+/// Returns (non-blank lines, code lines) of one source text. Code excludes
+/// comment lines and `#[cfg(test)]` items. An item ends where its braces
+/// balance again, or at its `;` if it opens none (`mod oracle;`).
+fn count_text(text: &str) -> (usize, usize) {
     let mut total = 0;
     let mut code = 0;
-    for file in files {
-        let Ok(text) = fs::read_to_string(&file) else { continue };
-        let mut in_tests = false;
-        let mut brace_depth = 0i64;
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            total += 1;
-            if trimmed.starts_with("#[cfg(test)]") {
+    let mut in_tests = false;
+    let mut brace_depth = 0i64;
+    for line in text.lines() {
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        total += 1;
+        let item = match trimmed.strip_prefix("#[cfg(test)]") {
+            Some(rest) => {
                 in_tests = true;
                 brace_depth = 0;
+                rest.trim()
             }
-            if in_tests {
-                brace_depth += (line.matches('{').count() as i64) - (line.matches('}').count() as i64);
-                if brace_depth <= 0 && line.contains('}') && !trimmed.starts_with("#[cfg(test)]") {
-                    in_tests = false;
-                }
-                continue;
+            None => trimmed,
+        };
+        if in_tests {
+            brace_depth += (item.matches('{').count() as i64) - (item.matches('}').count() as i64);
+            if brace_depth <= 0 && (item.contains('}') || item.ends_with(';')) {
+                in_tests = false;
             }
-            if trimmed.starts_with("//") {
-                continue;
-            }
-            code += 1;
+            continue;
+        }
+        if trimmed.starts_with("//") {
+            continue;
+        }
+        code += 1;
+    }
+    (total, code)
+}
+
+/// Returns (non-blank lines, production code lines) under `dir`.
+fn count_loc(dir: &Path) -> (usize, usize) {
+    let mut files = Vec::new();
+    rust_files(dir, false, &mut files);
+    let sources: Vec<(PathBuf, bool, String)> = files
+        .into_iter()
+        .filter_map(|(path, in_test_dir)| {
+            let text = fs::read_to_string(&path).ok()?;
+            Some((path, in_test_dir, text))
+        })
+        .collect();
+    let test_modules: Vec<PathBuf> = sources
+        .iter()
+        .flat_map(|(path, _, text)| test_module_paths(path, text))
+        .collect();
+    let mut total = 0;
+    let mut code = 0;
+    for (path, in_test_dir, text) in &sources {
+        let (t, c) = count_text(text);
+        total += t;
+        if !in_test_dir && !test_modules.iter().any(|module| path.starts_with(module)) {
+            code += c;
         }
     }
     (total, code)
@@ -213,4 +291,79 @@ fn render_json(rows: &[String], tcb_total: usize) -> String {
 "#,
         rows = rows.join(",\n")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Writes `files` (path, contents) under a fresh scratch directory.
+    fn tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("table1_loc-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for (path, text) in files {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().expect("has a parent")).expect("create dir");
+            fs::write(path, text).expect("write file");
+        }
+        root
+    }
+
+    #[test]
+    fn test_bench_and_example_directories_are_not_code() {
+        let root = tree(
+            "dirs",
+            &[
+                ("src/lib.rs", "pub fn f() {}\n"),
+                ("tests/t.rs", "#[test]\nfn t() {}\n"),
+                ("benches/b.rs", "fn main() {}\n"),
+                ("examples/e.rs", "fn main() {}\n"),
+                ("src/examples/nested.rs", "fn main() {}\n"),
+            ],
+        );
+        assert_eq!(count_loc(&root), (6, 1));
+        // A row that lists a test directory itself counts it as tests too.
+        assert_eq!(count_loc(&root.join("tests")), (2, 0));
+        fs::remove_dir_all(&root).expect("clean up");
+    }
+
+    #[test]
+    fn files_of_cfg_test_modules_are_not_code() {
+        let root = tree(
+            "modules",
+            &[
+                ("src/lib.rs", "#[cfg(test)]\nmod oracle;\npub mod field;\n"),
+                ("src/oracle.rs", "pub fn slow() {}\n"),
+                (
+                    "src/field.rs",
+                    "#[cfg(test)] pub(crate) mod check;\npub fn add() {}\n",
+                ),
+                ("src/field/check.rs", "pub fn check() {}\n"),
+                ("src/field/check/deep.rs", "pub fn deep() {}\n"),
+            ],
+        );
+        assert_eq!(count_loc(&root), (8, 2));
+        assert_eq!(
+            test_module_paths(
+                Path::new("c/src/lib.rs"),
+                "#[cfg(test)]\nmod oracle;\nmod tests {}\n"
+            ),
+            [
+                PathBuf::from("c/src/oracle.rs"),
+                PathBuf::from("c/src/oracle")
+            ]
+        );
+        fs::remove_dir_all(&root).expect("clean up");
+    }
+
+    #[test]
+    fn a_braceless_cfg_test_item_ends_at_its_semicolon() {
+        let text = "#[cfg(test)]\nmod oracle;\nfn f() -> u8 {\n    1\n}\n";
+        assert_eq!(count_text(text), (5, 3));
+        let one_line = "#[cfg(test)] use std::fmt;\nfn g() {}\n";
+        assert_eq!(count_text(one_line), (2, 1));
+        // Braced items still end where their braces balance.
+        let braced = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn h() {}\n";
+        assert_eq!(count_text(braced), (5, 1));
+    }
 }

@@ -11,6 +11,7 @@
 use sanctorum_core::monitor::{LockingMode, SmConfig};
 use sanctorum_enclave::image::EnclaveImage;
 use sanctorum_machine::MachineConfig;
+use sanctorum_os::ops::signing_enclave_measurement;
 use sanctorum_os::os::{BuiltEnclave, Os};
 use sanctorum_os::system::{PlatformKind, System};
 
@@ -51,20 +52,12 @@ pub fn boot_with_enclave(platform: PlatformKind) -> (System, Os, BuiltEnclave) {
 pub fn boot_attestation_setup(
     platform: PlatformKind,
 ) -> (System, Os, BuiltEnclave, BuiltEnclave) {
-    // Pass 1: learn the signing enclave's measurement on a scratch system.
-    let scratch = System::boot_small(platform);
-    let mut scratch_os = Os::new(&scratch);
-    let probe = scratch_os
-        .build_enclave(&EnclaveImage::signing_enclave(), 1)
-        .expect("probe build succeeds");
-    let signing_measurement = probe.measurement;
-
-    // Pass 2: boot the real system with that measurement hard-coded in the SM.
+    // The monitor has the signing enclave's measurement hard-coded.
     let system = System::boot(
         platform,
         MachineConfig::small(),
         SmConfig {
-            signing_enclave_measurement: Some(signing_measurement),
+            signing_enclave_measurement: Some(signing_enclave_measurement()),
             ..SmConfig::default()
         },
     );
@@ -86,17 +79,9 @@ pub fn boot_attestation_service(
     platform: PlatformKind,
     clients: usize,
 ) -> (System, Os, Vec<BuiltEnclave>, BuiltEnclave) {
-    // Pass 1: learn the signing enclave's measurement on a scratch system.
-    let scratch = System::boot_small(platform);
-    let mut scratch_os = Os::new(&scratch);
-    let probe = scratch_os
-        .build_enclave(&EnclaveImage::signing_enclave(), 1)
-        .expect("probe build succeeds");
-    let signing_measurement = probe.measurement;
-
-    // Pass 2: a machine with enough half-megabyte regions for the fleet
-    // (clients + signing + OS staging), and a PMP budget covering them all
-    // so both backends behave identically.
+    // A machine with enough half-megabyte regions for the fleet (clients +
+    // signing + OS staging), and a PMP budget covering them all so both
+    // backends behave identically.
     let config = MachineConfig {
         memory_size: 16 * 512 * 1024,
         dram_region_size: 512 * 1024,
@@ -108,7 +93,7 @@ pub fn boot_attestation_service(
         platform,
         config,
         SmConfig {
-            signing_enclave_measurement: Some(signing_measurement),
+            signing_enclave_measurement: Some(signing_enclave_measurement()),
             ..SmConfig::default()
         },
     );

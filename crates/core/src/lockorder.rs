@@ -24,18 +24,15 @@
 //! | 93   | region quarantine set |
 //! | 96   | mutation journal |
 //! | 100  | model checker's visited-state set |
-//! | 110  | verifier challenge DRBG |
-//! | 112  | one verifier challenge shard |
-//! | 113  | verifier writer mutex (serializes trust / chain-cache publishes) |
-//! | 114  | verifier trust state, `RwLock<Arc<_>>` (roots / revocation / measurements) |
-//! | 118  | verifier chain cache, `RwLock<Arc<_>>` |
-//! | 120  | one verifier session-pool shard |
+//! | 110  | verifier challenges (DRBG, outstanding map, issue queue) |
+//! | 114  | verifier trust snapshot, `RwLock<Arc<_>>` (roots / measurements / revocation / chain cache) |
+//! | 120  | verifier session pool |
 //!
 //! The verifier tier (ranks 110+) sits entirely above the monitor: a
 //! verifier thread may call into a monitor-backed world while holding *no*
-//! verifier lock (challenges are drawn and shards unlocked before any
-//! fabric traffic), and the monitor never calls into the verifier, so the
-//! two domains only compose in one direction.
+//! verifier lock (challenges are drawn and filed before any fabric
+//! traffic), and the monitor never calls into the verifier, so the two
+//! domains only compose in one direction.
 //!
 //! **Rule: a lock may only be acquired while every currently held lock has a
 //! strictly lower rank.** (Machine-internal locks — DRAM, harts, TLBs — sit
@@ -101,31 +98,20 @@ pub mod rank {
     /// rank: worker threads consult it strictly after all monitor locks for
     /// the expanded state have been released.
     pub const MODEL_VISITED: LockRank = LockRank(100);
-    /// The remote verifier's challenge DRBG. Held only while drawing a
-    /// nonce + ephemeral DH secret, and released before the challenge is
-    /// filed in its shard — which is what keeps the nonce *sequence*
-    /// bit-identical to the single-threaded verifier under any seed.
-    pub const VERIFIER_DRBG: LockRank = LockRank(110);
-    /// One shard of the verifier's outstanding-challenge map. Only one
-    /// shard is ever held at a time (a nonce names exactly one shard).
-    pub const VERIFIER_CHALLENGE_SHARD: LockRank = LockRank(112);
-    /// The verifier's writer mutex: serializes every publish of the trust
-    /// state and the chain cache (both sit strictly above it, so a writer
-    /// builds the next value while holding this mutex and only then takes
-    /// the write guard to swap it in).
-    pub const VERIFIER_WRITER: LockRank = LockRank(113);
-    /// The verifier's trust state (manufacturer roots, trusted measurements,
-    /// revocation list), an `RwLock<Arc<_>>`. Every evidence check clones
-    /// the `Arc` under a read guard; rotation / revocation swap it under
-    /// `VERIFIER_WRITER`.
+    /// The remote verifier's challenges: the DRBG, the outstanding map and
+    /// its issue-order queue. `begin` draws the nonce and DH secret and
+    /// files the challenge under this one lock, which keeps the nonce
+    /// *sequence* for a given seed independent of the thread count.
+    pub const VERIFIER_CHALLENGES: LockRank = LockRank(110);
+    /// The verifier's trust snapshot (manufacturer roots, trusted
+    /// measurements, revocation list, validated-chain cache), an
+    /// `RwLock<Arc<_>>`. Every evidence check clones the `Arc` under a read
+    /// guard; every change rebuilds the snapshot under the write guard.
     pub const VERIFIER_TRUST: LockRank = LockRank(114);
-    /// The verifier's chain cache (validated certificate chains), an
-    /// `RwLock<Arc<_>>` with the same load / swap protocol.
-    pub const VERIFIER_CHAIN_CACHE: LockRank = LockRank(118);
-    /// One shard of a verifier-side session pool. Above the whole verify
-    /// path: a session is filed strictly after every trust/chain structure
-    /// has been consulted and released.
-    pub const VERIFIER_SESSION_SHARD: LockRank = LockRank(120);
+    /// A verifier-side session pool. Above the whole verify path: a session
+    /// is filed strictly after the challenges and the trust snapshot have
+    /// been consulted and released.
+    pub const VERIFIER_SESSIONS: LockRank = LockRank(120);
 }
 
 #[cfg(debug_assertions)]

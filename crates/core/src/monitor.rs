@@ -70,15 +70,17 @@ pub enum LockingMode {
     Global,
 }
 
+/// Maximum number of live enclaves (metadata slots).
+const MAX_ENCLAVES: usize = 32;
+
+/// Maximum number of live threads.
+const MAX_THREADS: usize = 128;
+
 /// Monitor configuration.
 #[derive(Debug, Clone)]
 pub struct SmConfig {
     /// Locking strategy for API transactions.
     pub locking: LockingMode,
-    /// Maximum number of live enclaves (metadata slots).
-    pub max_enclaves: usize,
-    /// Maximum number of live threads.
-    pub max_threads: usize,
     /// Measurement of the trusted signing enclave (paper Section VI-C). Only
     /// an enclave with exactly this measurement may retrieve the attestation
     /// key.
@@ -95,8 +97,6 @@ impl Default for SmConfig {
     fn default() -> Self {
         Self {
             locking: LockingMode::FineGrained,
-            max_enclaves: 32,
-            max_threads: 128,
             signing_enclave_measurement: None,
             id_batch: 1,
         }
@@ -173,7 +173,7 @@ pub struct EnclaveEntry {
 /// An admission-slot reservation against an atomic live-object counter:
 /// taken with a compare-and-swap *before* the (multi-step, fallible) build
 /// it admits, released on drop unless the build committed. This is what
-/// keeps `max_enclaves` a hard cap under concurrency — a load-then-check
+/// keeps [`MAX_ENCLAVES`] a hard cap under concurrency — a load-then-check
 /// would let two harts both pass at `max - 1`.
 struct SlotReservation<'a> {
     counter: &'a AtomicU64,
@@ -214,7 +214,7 @@ struct SmState {
     /// Relaxed count of live enclaves — the lock-free fast path for
     /// diagnostics (`Debug` formatting must never take the table lock: it
     /// deadlocked when a monitor was formatted while a call held enclave
-    /// state) and for the `max_enclaves` admission check.
+    /// state) and for the [`MAX_ENCLAVES`] admission check.
     live_enclaves: AtomicU64,
     /// Bumped after every enclave-table change and every audit-visible
     /// enclave-metadata change (the value is also recorded into the touched
@@ -1609,14 +1609,14 @@ impl SmApi for SecurityMonitor {
             }
             // Reserve a metadata slot atomically: a plain load-then-check
             // would let two concurrent creations both pass at
-            // `max_enclaves - 1` and overshoot the cap. The reservation is
+            // `MAX_ENCLAVES - 1` and overshoot the cap. The reservation is
             // released by the guard on every failure path below and
             // consumed (defused) by the table insert.
             if self
                 .state
                 .live_enclaves
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < self.config.max_enclaves as u64).then_some(n + 1)
+                    (n < MAX_ENCLAVES as u64).then_some(n + 1)
                 })
                 .is_err()
             {
@@ -1879,10 +1879,10 @@ impl SmApi for SecurityMonitor {
             meta.require_loading()?;
             // Admission check and insert under one write lock: a dropped
             // read guard between them would let two concurrent loads both
-            // pass at `max_threads - 1`.
+            // pass at `MAX_THREADS - 1`.
             let tid = {
                 let mut threads = self.state.threads.write();
-                if threads.len() >= self.config.max_threads {
+                if threads.len() >= MAX_THREADS {
                     return Err(SmError::OutOfResources {
                         resource: "thread metadata slots",
                     });
@@ -2317,7 +2317,7 @@ impl SmApi for SecurityMonitor {
             // Admission check and insert under one write lock (see
             // `load_thread`): the cap must hold against concurrent creates.
             let mut threads = self.state.threads.write();
-            if threads.len() >= self.config.max_threads {
+            if threads.len() >= MAX_THREADS {
                 return Err(SmError::OutOfResources {
                     resource: "thread metadata slots",
                 });

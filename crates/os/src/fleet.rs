@@ -18,6 +18,7 @@
 //! drive attestation rounds against one shared concurrent verifier — the
 //! fleet benchmark (`fleet_stats`) does exactly that.
 
+use crate::ops::signing_enclave_measurement;
 use crate::os::Os;
 use crate::system::{PlatformKind, System};
 use sanctorum_core::attestation::{AttestationEvidence, Certificate};
@@ -291,13 +292,7 @@ impl Fleet {
     /// enclave-build failure (a fresh system never refuses these builds).
     pub fn boot(config: &FleetConfig) -> Self {
         let ca = ManufacturerCa::new(config.ca_seed);
-        // Pass 1: learn the signing enclave's measurement on a scratch
-        // system (measurements are placement- and platform-independent).
-        let scratch = System::boot_small(config.platform);
-        let signing_measurement = Os::new(&scratch)
-            .build_enclave(&EnclaveImage::signing_enclave(), 1)
-            .expect("probe build of the signing enclave succeeds")
-            .measurement;
+        let signing_measurement = signing_enclave_measurement();
         let machines = (0..config.machines.max(1))
             .map(|index| {
                 Self::boot_machine(config, &ca, index, signing_measurement)

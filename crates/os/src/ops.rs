@@ -401,8 +401,8 @@ pub struct LiveEnclave {
 ///
 /// Measurements depend only on the image and its virtual range — not on the
 /// platform, the machine geometry or the placement — so one process-wide
-/// probe build serves every explorer world (the cross-platform equality is
-/// pinned by `identical_images_measure_identically_across_platforms…`).
+/// probe build serves every explorer world, fleet and benchmark setup on
+/// either backend (pinned by `signing_enclave_measurement_is_platform_independent`).
 pub fn signing_enclave_measurement() -> Measurement {
     static MEASUREMENT: OnceLock<Measurement> = OnceLock::new();
     *MEASUREMENT.get_or_init(|| {
@@ -1389,6 +1389,24 @@ mod tests {
             let outcome = world.apply(hart, &Op::Attack { kind, slot: 0 });
             assert_eq!(outcome.status, status::OK, "attack {kind} errored");
             assert_eq!(outcome.attack_blocked, Some(true), "attack {kind} succeeded");
+        }
+    }
+
+    #[test]
+    fn signing_enclave_measurement_is_platform_independent() {
+        // Fleets and benchmark setups on either backend trust the one
+        // process-wide probe, so a probe build on each platform must agree
+        // with it.
+        for platform in [PlatformKind::Sanctum, PlatformKind::Keystone] {
+            let system = System::boot_small(platform);
+            let probe = Os::new(&system)
+                .build_enclave(&EnclaveImage::signing_enclave(), 1)
+                .expect("probe build succeeds");
+            assert_eq!(
+                probe.measurement,
+                signing_enclave_measurement(),
+                "{platform:?}"
+            );
         }
     }
 }

@@ -14,12 +14,14 @@
 //!
 //! The whole tier is shared-state concurrent: `RemoteVerifier` and
 //! `SessionPool` take `&self` everywhere and are safe to drive from many
-//! threads at once — challenges and sessions live in index-interleaved
-//! shards under ranked locks, while the read-mostly trust state (manufacturer
-//! roots, revocation list, chain cache) is an immutable `Arc` snapshot behind
-//! a ranked `RwLock`: a rotation builds the next snapshot off to the side and
-//! holds the write guard only to swap the `Arc`, so verification waits on a
-//! certificate rotation for no longer than that swap.
+//! threads at once. Each table sits behind one ranked lock: the challenges
+//! (DRBG, outstanding map, issue queue) under one mutex, the sessions under
+//! another, and the read-mostly trust state (manufacturer roots, trusted
+//! measurements, revocation list, chain cache) as one immutable `Arc`
+//! snapshot behind a ranked `RwLock`. A rotation, revocation or chain
+//! install rebuilds the snapshot under the write guard and swaps it in, so
+//! a check that starts after the swap sees the change whole, and a check
+//! already running keeps the snapshot it loaded.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

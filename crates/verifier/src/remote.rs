@@ -1,32 +1,30 @@
 //! The remote verifier: nonce issuance, key agreement and evidence checking.
 //!
-//! Built for fleet-scale attestation from many threads at once. Every public
-//! method takes `&self`; internally the verifier is a small lock hierarchy
-//! (ranks 110–120 of `sanctorum_core::lockorder`):
+//! Every public method takes `&self`, so one verifier serves any number of
+//! threads. It keeps two tables, each behind one ranked lock of
+//! `sanctorum_core::lockorder`:
 //!
-//! * **Challenges** live in index-interleaved shards, each a ranked mutex.
-//!   `begin` draws the nonce and DH secret under the DRBG mutex — preserving
-//!   the exact single-threaded nonce sequence for a given seed — then files
-//!   the challenge in the nonce's shard. Challenges expire after a
-//!   **generation-counted TTL** (no wall clock): every `begin` advances the
-//!   generation, and a challenge older than [`RemoteVerifier::challenge_ttl`]
-//!   generations is evicted the next time its shard files a new one, with
-//!   evictions surfaced in [`VerifierStats`].
-//! * **Trust state** (accepted manufacturer roots, trusted measurements, the
-//!   device revocation list) is an immutable snapshot behind a ranked
-//!   `RwLock<Arc<_>>`: every evidence check clones the `Arc` under a brief
-//!   read guard, while rotation and revocation build the next snapshot under
-//!   the writer mutex and only take the write guard to swap the `Arc` in.
-//! * The **chain cache** (validated device/SM certificate chains) is a
-//!   second `RwLock<Arc<_>>`: a hit skips both certificate verifications
-//!   under one read guard; a miss verifies the chain and swaps in the grown
-//!   cache under the same writer mutex. Revoking a device or retiring a
-//!   root also purges the matching cache entries, so a stale cache can
-//!   never resurrect a revoked chain.
-//! * [`RemoteVerifier::verify_batch`] amortizes further: one trust-state
-//!   load for the whole batch, one chain validation per *distinct* chain in
-//!   the batch (evidence from the same machine shares its chain), and one
-//!   cache publish for all newly validated chains.
+//! * **Challenges** (rank `VERIFIER_CHALLENGES`): the DRBG, the outstanding
+//!   map and its issue-order queue, under one mutex. `begin` draws the nonce
+//!   and then the DH secret and files the challenge under that lock, so a
+//!   given seed issues the same nonce sequence whatever the thread count.
+//!   Challenges expire after a **generation-counted TTL** (no wall clock):
+//!   every `begin` advances the generation, and a challenge older than
+//!   [`RemoteVerifier::challenge_ttl`] generations is evicted the next time
+//!   one is filed, with evictions surfaced in [`VerifierStats`].
+//! * **Trust** (rank `VERIFIER_TRUST`): the accepted manufacturer roots, the
+//!   trusted measurements, the device revocation list and the cache of
+//!   validated certificate chains, as one immutable snapshot behind a ranked
+//!   `RwLock<Arc<_>>`. Every evidence check clones the `Arc` under a brief
+//!   read guard. Every change (a trusted measurement, a rotation, a
+//!   retirement, a revocation or a chain install) rebuilds the snapshot
+//!   under the write guard and swaps it in, so revoking a device or retiring
+//!   a root purges the chains it vouched for in the same swap, and a chain
+//!   install re-checks revocation and roots against the latest snapshot.
+//! * [`RemoteVerifier::verify_batch`] amortizes further: one snapshot load
+//!   for the whole batch, one chain validation per *distinct* chain in the
+//!   batch (evidence from the same machine shares its chain), and one
+//!   publish for all newly validated chains.
 
 use crate::session::SecureSession;
 use sanctorum_core::attestation::AttestationEvidence;
@@ -39,7 +37,7 @@ use sanctorum_crypto::sha3::Sha3_256;
 use sanctorum_crypto::x25519;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The challenge the verifier sends to the (untrusted) platform: a fresh
@@ -91,7 +89,7 @@ impl std::error::Error for VerifyError {}
 /// A point-in-time snapshot of the verifier's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifierStats {
-    /// Challenges currently outstanding across all shards.
+    /// Challenges currently outstanding.
     pub outstanding_challenges: usize,
     /// Evidence checks that skipped certificate validation via the cache.
     pub chain_cache_hits: u64,
@@ -104,7 +102,7 @@ pub struct VerifierStats {
     /// Evidence checks rejected (any [`VerifyError`]).
     pub rejected_evidence: u64,
     /// Trust-state epoch: bumped by every rotation, revocation or newly
-    /// trusted measurement.
+    /// trusted measurement (a chain install does not bump it).
     pub trust_epoch: u64,
 }
 
@@ -120,7 +118,10 @@ struct TrustState {
     /// Revoked device public keys (chain middles); evidence whose device
     /// certificate names one of these never verifies, cache or no cache.
     revoked_devices: BTreeSet<[u8; 32]>,
-    /// Version counter, bumped by every publish.
+    /// Validated chains by fingerprint. Never holds a chain that a revoked
+    /// device or an unaccepted root vouched for.
+    chains: BTreeMap<[u8; 32], ChainEntry>,
+    /// Version counter, bumped by every change except a chain install.
     epoch: u64,
 }
 
@@ -140,16 +141,59 @@ struct ChallengeEntry {
     generation: u64,
 }
 
-/// One shard of the outstanding-challenge map: the entries plus an
-/// issue-order queue that makes TTL eviction O(evicted), not O(shard).
-#[derive(Debug, Default)]
-struct ChallengeShard {
-    entries: BTreeMap<[u8; 32], ChallengeEntry>,
+/// Everything that issues, files and retires challenges, under one lock.
+#[derive(Debug)]
+struct Challenges {
+    drbg: ChaChaDrbg,
+    outstanding: BTreeMap<[u8; 32], ChallengeEntry>,
+    /// Issue order, so TTL eviction is O(evicted), not O(outstanding).
     issued: VecDeque<([u8; 32], u64)>,
+    /// One tick per issued challenge.
+    generation: u64,
+    /// TTL in generations beyond which an unconsumed challenge is evicted.
+    ttl: u64,
+    evicted: u64,
 }
 
-/// How many shards the outstanding-challenge map is interleaved across.
-const CHALLENGE_SHARDS: usize = 16;
+impl Challenges {
+    /// Draws a nonce and then a DH secret, evicts the over-TTL challenges
+    /// and files the new one.
+    fn issue(&mut self) -> ([u8; 32], [u8; 32]) {
+        let nonce: [u8; 32] = self.drbg.random_array();
+        let dh_secret = x25519::clamp_scalar(self.drbg.random_array());
+        self.generation += 1;
+        // The issue queue is in generation order, so eviction stops at the
+        // first entry still inside the TTL.
+        while let Some(&(stale_nonce, issued_at)) = self.issued.front() {
+            if self.generation - issued_at <= self.ttl {
+                break;
+            }
+            self.issued.pop_front();
+            // Consumed challenges already left `outstanding`; evict only
+            // one still outstanding from this issue (the generation match
+            // pins the queue entry to its map entry even if a nonce were
+            // ever re-issued).
+            let still_outstanding = self
+                .outstanding
+                .get(&stale_nonce)
+                .is_some_and(|entry| entry.generation == issued_at);
+            if still_outstanding {
+                self.outstanding.remove(&stale_nonce);
+                self.evicted += 1;
+            }
+        }
+        let generation = self.generation;
+        self.outstanding.insert(
+            nonce,
+            ChallengeEntry {
+                dh_secret,
+                generation,
+            },
+        );
+        self.issued.push_back((nonce, generation));
+        (nonce, dh_secret)
+    }
+}
 
 /// Default challenge TTL in generations (one generation per `begin`).
 const DEFAULT_CHALLENGE_TTL: u64 = 1 << 16;
@@ -157,24 +201,11 @@ const DEFAULT_CHALLENGE_TTL: u64 = 1 << 16;
 /// The remote verifier (the paper's trusted first party), shareable across
 /// any number of threads.
 pub struct RemoteVerifier {
-    /// lock rank: rank::VERIFIER_DRBG
-    drbg: OrderedMutex<ChaChaDrbg>,
-    /// lock rank: rank::VERIFIER_CHALLENGE_SHARD (one shard at a time)
-    challenge_shards: Vec<OrderedMutex<ChallengeShard>>,
-    /// Serializes all trust / chain-cache publishes. lock rank:
-    /// rank::VERIFIER_WRITER
-    writer: OrderedMutex<()>,
+    /// lock rank: rank::VERIFIER_CHALLENGES
+    challenges: OrderedMutex<Challenges>,
     /// lock rank: rank::VERIFIER_TRUST
     trust: OrderedRwLock<Arc<TrustState>>,
-    /// lock rank: rank::VERIFIER_CHAIN_CACHE
-    chain_cache: OrderedRwLock<Arc<BTreeMap<[u8; 32], ChainEntry>>>,
-    /// Generation counter: one tick per issued challenge.
-    generation: AtomicU64,
-    /// TTL in generations beyond which an unconsumed challenge is evicted.
-    challenge_ttl: AtomicU64,
-    outstanding: AtomicUsize,
     chain_cache_hits: AtomicU64,
-    evicted_challenges: AtomicU64,
     verified_sessions: AtomicU64,
     rejected_evidence: AtomicU64,
 }
@@ -189,7 +220,7 @@ impl fmt::Debug for RemoteVerifier {
             trust.roots.len(),
             trust.measurements.len(),
             trust.revoked_devices.len(),
-            self.outstanding.load(Ordering::Relaxed),
+            self.outstanding_challenges(),
         )
     }
 }
@@ -203,26 +234,28 @@ impl RemoteVerifier {
         rng_seed: [u8; 32],
     ) -> Self {
         Self {
-            drbg: OrderedMutex::new(rank::VERIFIER_DRBG, ChaChaDrbg::from_seed(rng_seed)),
-            challenge_shards: (0..CHALLENGE_SHARDS)
-                .map(|_| OrderedMutex::new(rank::VERIFIER_CHALLENGE_SHARD, ChallengeShard::default()))
-                .collect(),
-            writer: OrderedMutex::new(rank::VERIFIER_WRITER, ()),
+            challenges: OrderedMutex::new(
+                rank::VERIFIER_CHALLENGES,
+                Challenges {
+                    drbg: ChaChaDrbg::from_seed(rng_seed),
+                    outstanding: BTreeMap::new(),
+                    issued: VecDeque::new(),
+                    generation: 0,
+                    ttl: DEFAULT_CHALLENGE_TTL,
+                    evicted: 0,
+                },
+            ),
             trust: OrderedRwLock::new(
                 rank::VERIFIER_TRUST,
                 Arc::new(TrustState {
                     roots: vec![manufacturer_root],
                     measurements: trusted_measurements,
                     revoked_devices: BTreeSet::new(),
+                    chains: BTreeMap::new(),
                     epoch: 0,
                 }),
             ),
-            chain_cache: OrderedRwLock::new(rank::VERIFIER_CHAIN_CACHE, Arc::new(BTreeMap::new())),
-            generation: AtomicU64::new(0),
-            challenge_ttl: AtomicU64::new(DEFAULT_CHALLENGE_TTL),
-            outstanding: AtomicUsize::new(0),
             chain_cache_hits: AtomicU64::new(0),
-            evicted_challenges: AtomicU64::new(0),
             verified_sessions: AtomicU64::new(0),
             rejected_evidence: AtomicU64::new(0),
         }
@@ -235,33 +268,22 @@ impl RemoteVerifier {
         Arc::clone(&self.trust.read())
     }
 
-    /// The current chain-cache snapshot (same protocol as [`Self::trust`]).
-    fn chains(&self) -> Arc<BTreeMap<[u8; 32], ChainEntry>> {
-        Arc::clone(&self.chain_cache.read())
-    }
-
-    /// Rebuilds the trust state under the writer mutex and swaps it in.
+    /// Rebuilds the trust snapshot under the write guard and swaps it in.
     /// Readers mid-`verify` keep their snapshot; every check that starts
     /// after the swap sees the new state.
-    fn publish_trust(&self, mutate: impl FnOnce(&mut TrustState)) {
-        let _writer = self.writer.lock();
-        let mut next = (*self.trust()).clone();
+    fn publish(&self, mutate: impl FnOnce(&mut TrustState)) {
+        let mut snapshot = self.trust.write();
+        let mut next = TrustState::clone(&snapshot);
         mutate(&mut next);
-        next.epoch += 1;
-        *self.trust.write() = Arc::new(next);
+        *snapshot = Arc::new(next);
     }
 
-    /// Rebuilds the chain cache under the writer mutex, keeping only the
-    /// entries `keep` approves.
-    fn retain_chains(&self, keep: impl Fn(&ChainEntry) -> bool) {
-        let _writer = self.writer.lock();
-        let next: BTreeMap<[u8; 32], ChainEntry> = self
-            .chains()
-            .iter()
-            .filter(|(_, entry)| keep(entry))
-            .map(|(fp, entry)| (*fp, *entry))
-            .collect();
-        *self.chain_cache.write() = Arc::new(next);
+    /// A publish that changes what the verifier trusts: the next epoch.
+    fn publish_trust(&self, mutate: impl FnOnce(&mut TrustState)) {
+        self.publish(|trust| {
+            mutate(trust);
+            trust.epoch += 1;
+        });
     }
 
     /// Adds a measurement to the trusted set (next trust epoch).
@@ -280,27 +302,30 @@ impl RemoteVerifier {
     }
 
     /// Stops accepting `old_root`, completing a rotation. Cached chains
-    /// that rooted in it are purged in the same stroke.
+    /// that rooted in it are purged in the same swap.
     pub fn retire_manufacturer_root(&self, old_root: PublicKey) {
-        self.publish_trust(|trust| trust.roots.retain(|r| *r != old_root));
-        self.retain_chains(|entry| entry.root != old_root.to_bytes());
+        let old = old_root.to_bytes();
+        self.publish_trust(|trust| {
+            trust.roots.retain(|r| *r != old_root);
+            trust.chains.retain(|_, entry| entry.root != old);
+        });
     }
 
     /// Revokes a device public key: evidence whose chain presents it never
-    /// verifies again, and its cached chains are purged atomically with the
-    /// revocation-list publish.
+    /// verifies again, and its cached chains are purged in the same swap.
     pub fn revoke_device(&self, device_key: PublicKey) {
+        let device = device_key.to_bytes();
         self.publish_trust(|trust| {
-            trust.revoked_devices.insert(device_key.to_bytes());
+            trust.revoked_devices.insert(device);
+            trust.chains.retain(|_, entry| entry.device_key != device);
         });
-        self.retain_chains(|entry| entry.device_key != device_key.to_bytes());
     }
 
     // ---- stats --------------------------------------------------------------
 
     /// Number of challenges currently outstanding.
     pub fn outstanding_challenges(&self) -> usize {
-        self.outstanding.load(Ordering::Relaxed)
+        self.challenges.lock().outstanding.len()
     }
 
     /// How many evidence checks skipped certificate validation via the
@@ -311,89 +336,45 @@ impl RemoteVerifier {
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> VerifierStats {
+        let (outstanding_challenges, evicted_challenges) = {
+            let challenges = self.challenges.lock();
+            (challenges.outstanding.len(), challenges.evicted)
+        };
+        let trust = self.trust();
         VerifierStats {
-            outstanding_challenges: self.outstanding.load(Ordering::Relaxed),
+            outstanding_challenges,
             chain_cache_hits: self.chain_cache_hits.load(Ordering::Relaxed),
-            chain_cache_entries: self.chains().len(),
-            evicted_challenges: self.evicted_challenges.load(Ordering::Relaxed),
+            chain_cache_entries: trust.chains.len(),
+            evicted_challenges,
             verified_sessions: self.verified_sessions.load(Ordering::Relaxed),
             rejected_evidence: self.rejected_evidence.load(Ordering::Relaxed),
-            trust_epoch: self.trust().epoch,
+            trust_epoch: trust.epoch,
         }
     }
 
     /// Sets the challenge TTL in generations (one generation per `begin`).
     /// A challenge unconsumed for more than `ttl` generations is evicted.
     pub fn set_challenge_ttl(&self, ttl: u64) {
-        self.challenge_ttl.store(ttl.max(1), Ordering::Relaxed);
+        self.challenges.lock().ttl = ttl.max(1);
     }
 
     /// The current challenge TTL in generations.
     pub fn challenge_ttl(&self) -> u64 {
-        self.challenge_ttl.load(Ordering::Relaxed)
+        self.challenges.lock().ttl
     }
 
     // ---- challenges ---------------------------------------------------------
-
-    fn challenge_shard(&self, nonce: &[u8; 32]) -> &OrderedMutex<ChallengeShard> {
-        // Shard routing by the nonce's first byte. The nonce travels in the
-        // clear, so the index is public information; the secret-dependent
-        // comparison inside the shard stays constant-time.
-        &self.challenge_shards[nonce[0] as usize % self.challenge_shards.len()]
-    }
 
     /// Begins an attestation: generates a nonce and an ephemeral DH key.
     /// Challenges accumulate — beginning a new one does not invalidate those
     /// already outstanding — but a challenge left unconsumed for more than
     /// [`Self::challenge_ttl`] generations is evicted (counted in stats).
     pub fn begin(&self) -> Challenge {
-        // Draw under the DRBG mutex in the fixed nonce-then-secret order, so
-        // the sequence of issued nonces for a given seed is bit-identical to
-        // the single-threaded verifier's (the signature memo and signing
-        // caches of the explorer workloads depend on this schedule).
-        let (nonce, dh_secret) = {
-            let mut drbg = self.drbg.lock();
-            let nonce: [u8; 32] = drbg.random_array();
-            let dh_secret = x25519::clamp_scalar(drbg.random_array());
-            (nonce, dh_secret)
-        };
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let ttl = self.challenge_ttl.load(Ordering::Relaxed);
-        let mut evicted = 0usize;
-        {
-            let mut shard = self.challenge_shard(&nonce).lock();
-            // Expire this shard's over-TTL challenges before filing the new
-            // one. The issue queue is in generation order, so eviction stops
-            // at the first live entry.
-            while let Some(&(stale_nonce, issued_at)) = shard.issued.front() {
-                if generation.saturating_sub(issued_at) <= ttl {
-                    break;
-                }
-                shard.issued.pop_front();
-                // Consumed challenges were already removed from `entries`;
-                // only evict one that is still outstanding from this issue
-                // (the generation check pins the queue entry to its map
-                // entry even if a nonce were ever re-issued).
-                let still_outstanding = shard
-                    .entries
-                    .get(&stale_nonce)
-                    .is_some_and(|entry| entry.generation == issued_at);
-                if still_outstanding {
-                    shard.entries.remove(&stale_nonce);
-                    evicted += 1;
-                }
-            }
-            shard
-                .entries
-                .insert(nonce, ChallengeEntry { dh_secret, generation });
-            shard.issued.push_back((nonce, generation));
-        }
-        if evicted > 0 {
-            self.evicted_challenges
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-            self.outstanding.fetch_sub(evicted, Ordering::Relaxed);
-        }
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
+        // Drawn and filed under one lock in the fixed nonce-then-secret
+        // order, so the sequence of issued nonces for a given seed does not
+        // depend on how many threads call `begin` (the signature memo and
+        // signing caches of the explorer workloads depend on this schedule).
+        let (nonce, dh_secret) = self.challenges.lock().issue();
         Challenge {
             nonce,
             verifier_dh_public: x25519::public_key(&dh_secret),
@@ -407,16 +388,15 @@ impl RemoteVerifier {
 
     /// Consumes the outstanding challenge matching `nonce`, if any.
     fn take_challenge(&self, nonce: &[u8; 32]) -> Result<[u8; 32], VerifyError> {
-        if self.outstanding.load(Ordering::Relaxed) == 0 {
+        let mut challenges = self.challenges.lock();
+        if challenges.outstanding.is_empty() {
             return Err(VerifyError::NoChallenge);
         }
-        let mut shard = self.challenge_shard(nonce).lock();
         // The attacker-supplied nonce is matched against every outstanding
-        // challenge of its shard in constant time per comparison (no
-        // early-exit prefix matching), preserving the hardening the
-        // single-map verifier had.
-        let matched = shard
-            .entries
+        // challenge in constant time per comparison (no early-exit prefix
+        // matching).
+        let matched = challenges
+            .outstanding
             .keys()
             .fold(None, |found, candidate| {
                 if ct_eq(candidate, nonce) {
@@ -426,9 +406,10 @@ impl RemoteVerifier {
                 }
             })
             .ok_or(VerifyError::StaleNonce)?;
-        let entry = shard.entries.remove(&matched).expect("matched key exists");
-        drop(shard);
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
+        let entry = challenges
+            .outstanding
+            .remove(&matched)
+            .expect("matched key exists");
         Ok(entry.dh_secret)
     }
 
@@ -447,16 +428,15 @@ impl RemoteVerifier {
     }
 
     /// Validates the evidence's certificate chain against a trust snapshot,
-    /// via the cache when the exact (device certificate, SM certificate)
-    /// pair has been seen before, and returns the SM attestation key the
-    /// chain vouches for. `publish` controls whether a cache miss installs
-    /// the validated chain (batch verification defers to one publish).
+    /// via the snapshot's cache when the exact (device certificate, SM
+    /// certificate) pair has been seen before. Returns the chain and whether
+    /// it was validated just now, i.e. still needs installing.
     fn validate_chain(
         &self,
         evidence: &AttestationEvidence,
+        fingerprint: &[u8; 32],
         trust: &TrustState,
-        publish: bool,
-    ) -> Result<ChainEntry, VerifyError> {
+    ) -> Result<(ChainEntry, bool), VerifyError> {
         let root = evidence.device_certificate.issuer_public_key;
         if !trust.roots.contains(&root) {
             return Err(VerifyError::UntrustedRoot);
@@ -465,11 +445,9 @@ impl RemoteVerifier {
         if trust.revoked_devices.contains(&device_key) {
             return Err(VerifyError::RevokedChain);
         }
-        let fingerprint = Self::chain_fingerprint(evidence);
-        let cached = self.chain_cache.read().get(&fingerprint).copied();
-        if let Some(entry) = cached {
+        if let Some(entry) = trust.chains.get(fingerprint) {
             self.chain_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry);
+            return Ok((*entry, false));
         }
         let chain_ok = evidence.device_certificate.verify()
             && evidence.sm_certificate.verify()
@@ -483,50 +461,26 @@ impl RemoteVerifier {
             device_key,
             root: root.to_bytes(),
         };
-        if publish {
-            self.install_chains(&[(fingerprint, entry)]);
-        }
-        Ok(entry)
+        Ok((entry, true))
     }
 
     /// Publishes newly validated chains into the cache (one swap for the
-    /// whole slice). Re-checks revocation under the writer mutex so a
-    /// concurrent `revoke_device` cannot be undone by a racing install.
+    /// whole slice). Revocation and roots are re-checked against the latest
+    /// snapshot inside the write guard, so a revocation or retirement that
+    /// landed after the chains were validated is never undone.
     fn install_chains(&self, chains: &[([u8; 32], ChainEntry)]) {
         if chains.is_empty() {
             return;
         }
-        let _writer = self.writer.lock();
-        let trust = self.trust();
-        let mut next = (*self.chains()).clone();
-        for (fingerprint, entry) in chains {
-            if !trust.revoked_devices.contains(&entry.device_key)
-                && trust.roots.iter().any(|r| r.to_bytes() == entry.root)
-            {
-                next.insert(*fingerprint, *entry);
+        self.publish(|trust| {
+            for (fingerprint, entry) in chains {
+                if !trust.revoked_devices.contains(&entry.device_key)
+                    && trust.roots.iter().any(|r| r.to_bytes() == entry.root)
+                {
+                    trust.chains.insert(*fingerprint, *entry);
+                }
             }
-        }
-        *self.chain_cache.write() = Arc::new(next);
-    }
-
-    /// The checks downstream of challenge consumption: chain, report
-    /// signature, channel binding, measurement; then session derivation.
-    fn verify_evidence(
-        &self,
-        evidence: &AttestationEvidence,
-        enclave_dh_public: &[u8; 32],
-        dh_secret: [u8; 32],
-        trust: &TrustState,
-        chain: Result<ChainEntry, VerifyError>,
-    ) -> Result<SecureSession, VerifyError> {
-        let entry = chain?;
-        if !entry
-            .sm_key
-            .verify(&evidence.report.to_signed_bytes(), &evidence.signature)
-        {
-            return Err(VerifyError::BadSignature);
-        }
-        self.finish_evidence(evidence, enclave_dh_public, dh_secret, trust)
+        });
     }
 
     /// The checks downstream of the report signature: channel binding,
@@ -577,8 +531,18 @@ impl RemoteVerifier {
         let result = (|| {
             let dh_secret = self.take_challenge(&evidence.report.nonce)?;
             let trust = self.trust();
-            let chain = self.validate_chain(evidence, &trust, true);
-            self.verify_evidence(evidence, enclave_dh_public, dh_secret, &trust, chain)
+            let fingerprint = Self::chain_fingerprint(evidence);
+            let (entry, fresh) = self.validate_chain(evidence, &fingerprint, &trust)?;
+            if fresh {
+                self.install_chains(&[(fingerprint, entry)]);
+            }
+            if !entry
+                .sm_key
+                .verify(&evidence.report.to_signed_bytes(), &evidence.signature)
+            {
+                return Err(VerifyError::BadSignature);
+            }
+            self.finish_evidence(evidence, enclave_dh_public, dh_secret, &trust)
         })();
         self.count_outcome(&result);
         result
@@ -594,19 +558,19 @@ impl RemoteVerifier {
         items: &[(AttestationEvidence, [u8; 32])],
     ) -> Vec<Result<SecureSession, VerifyError>> {
         let trust = self.trust();
+        let fingerprints: Vec<[u8; 32]> = items
+            .iter()
+            .map(|(evidence, _)| Self::chain_fingerprint(evidence))
+            .collect();
         let mut resolved: BTreeMap<[u8; 32], Result<ChainEntry, VerifyError>> = BTreeMap::new();
         let mut fresh: Vec<([u8; 32], ChainEntry)> = Vec::new();
-        for (evidence, _) in items {
-            let fingerprint = Self::chain_fingerprint(evidence);
-            resolved.entry(fingerprint).or_insert_with(|| {
-                let had_entry = self.chain_cache.read().contains_key(&fingerprint);
-                let outcome = self.validate_chain(evidence, &trust, false);
-                if let Ok(entry) = outcome {
-                    if !had_entry {
-                        fresh.push((fingerprint, entry));
-                    }
+        for ((evidence, _), fingerprint) in items.iter().zip(&fingerprints) {
+            resolved.entry(*fingerprint).or_insert_with(|| {
+                let outcome = self.validate_chain(evidence, fingerprint, &trust);
+                if let Ok((entry, true)) = outcome {
+                    fresh.push((*fingerprint, entry));
                 }
-                outcome
+                outcome.map(|(entry, _)| entry)
             });
         }
         self.install_chains(&fresh);
@@ -620,9 +584,10 @@ impl RemoteVerifier {
         }
         let staged: Vec<Result<StagedEvidence, VerifyError>> = items
             .iter()
-            .map(|(evidence, _)| {
+            .zip(&fingerprints)
+            .map(|((evidence, _), fingerprint)| {
                 let dh_secret = self.take_challenge(&evidence.report.nonce)?;
-                let entry = resolved[&Self::chain_fingerprint(evidence)]?;
+                let entry = resolved[fingerprint]?;
                 Ok(StagedEvidence {
                     dh_secret,
                     entry,
@@ -1026,5 +991,108 @@ mod tests {
         assert_eq!(stats.verified_sessions, 8 * 16);
         assert_eq!(stats.outstanding_challenges, 0);
         assert_eq!(stats.chain_cache_entries, 1);
+    }
+
+    /// One thread loops over `verify` and `verify_batch` while a second
+    /// withdraws trust in the chain's device or root after the first
+    /// successful batch and then raises a flag. Every call that started
+    /// after the flag must reject with `expected`, and the cache must end
+    /// empty: no install in flight when the withdrawal landed may have put
+    /// the chain back. Each round presents a fresh SM certificate, so every
+    /// call misses the cache and installs; whether the withdrawal lands
+    /// inside an install window is up to the scheduler, so the race runs
+    /// several times. Debug builds rank-check every acquisition on both
+    /// threads.
+    fn withdrawal_races_in_flight_verification(withdraw: fn(&Fixture), expected: VerifyError) {
+        use std::sync::atomic::AtomicBool;
+        const TRIALS: usize = 8;
+        const CALLS_AFTER_FLAG: usize = 16;
+        let device = Keypair::from_seed([2; 32]);
+        let enclave_public = x25519::public_key(&x25519::clamp_scalar([7; 32]));
+        for trial in 0..TRIALS {
+            let f = fixture();
+            let batch_verified = AtomicBool::new(false);
+            let withdrawn = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !batch_verified.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    withdraw(&f);
+                    withdrawn.store(true, Ordering::Release);
+                });
+                let mut calls_after_flag = 0;
+                let mut round = 0u32;
+                while calls_after_flag < CALLS_AFTER_FLAG {
+                    round += 1;
+                    let sm_cert = Certificate::issue(
+                        &device,
+                        *f.sm_key.public(),
+                        format!("sm round {round}").into_bytes(),
+                    );
+                    let evidence = |challenge: &Challenge| {
+                        let mut evidence = make_evidence(
+                            &f,
+                            challenge.nonce,
+                            &enclave_public,
+                            f.enclave_measurement,
+                        );
+                        evidence.sm_certificate = sm_cert.clone();
+                        (evidence, enclave_public)
+                    };
+                    let batch = round % 2 == 1;
+                    let started_after_flag = withdrawn.load(Ordering::Acquire);
+                    let results: Vec<_> = if batch {
+                        let items: Vec<_> = f.verifier.begin_many(4).iter().map(evidence).collect();
+                        f.verifier.verify_batch(&items)
+                    } else {
+                        let (evidence, public) = evidence(&f.verifier.begin());
+                        vec![f.verifier.verify(&evidence, &public)]
+                    };
+                    for result in &results {
+                        match result {
+                            Err(err) if *err == expected => {}
+                            Ok(_) if !started_after_flag => {}
+                            other => panic!(
+                                "trial {trial} round {round}: {other:?} \
+                                 (started after the flag: {started_after_flag})"
+                            ),
+                        }
+                    }
+                    if started_after_flag {
+                        calls_after_flag += 1;
+                    } else if batch && results.iter().all(Result::is_ok) {
+                        batch_verified.store(true, Ordering::Release);
+                    }
+                }
+            });
+            let stats = f.verifier.stats();
+            assert_eq!(
+                stats.chain_cache_entries, 0,
+                "trial {trial}: a chain was resurrected"
+            );
+            assert_eq!(stats.outstanding_challenges, 0, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn revocation_races_in_flight_verification() {
+        withdrawal_races_in_flight_verification(
+            |f| f.verifier.revoke_device(f.device_cert.subject_public_key),
+            VerifyError::RevokedChain,
+        );
+    }
+
+    #[test]
+    fn root_retirement_races_in_flight_verification() {
+        withdrawal_races_in_flight_verification(
+            |f| {
+                let new_ca = Keypair::from_seed([77; 32]);
+                f.verifier.rotate_manufacturer_root(*new_ca.public());
+                f.verifier
+                    .retire_manufacturer_root(f.device_cert.issuer_public_key);
+            },
+            VerifyError::UntrustedRoot,
+        );
     }
 }

@@ -1,6 +1,5 @@
 //! The secure session established after successful attestation
-//! (Fig. 7 step ⑩), and the sharded pool a verifier-side service keeps
-//! them in.
+//! (Fig. 7 step ⑩), and the pool a verifier-side service keeps them in.
 //!
 //! A [`SecureSession`] enforces strict message ordering in both directions:
 //! `seal` derives each nonce from a send counter, and `open` rejects any
@@ -8,10 +7,9 @@
 //! ([`OpenError::OutOfOrder`]) — replayed and reordered traffic fails even
 //! though the underlying `SecretBox` would authenticate it.
 //!
-//! A [`SessionPool`] is shared-state concurrent: sessions are interleaved
-//! across index-selected shards, each under an [`OrderedMutex`] at
-//! [`rank::VERIFIER_SESSION_SHARD`], so many verifier threads can file and
-//! use sessions for different clients without contending on one map.
+//! A [`SessionPool`] is shared-state concurrent: one map from client tag to
+//! session under an [`OrderedMutex`] at [`rank::VERIFIER_SESSIONS`], the
+//! last rank a verifier thread takes.
 
 use sanctorum_core::lockorder::{rank, OrderedMutex};
 use sanctorum_crypto::secretbox::{OpenError, SecretBox, NONCE_LEN};
@@ -107,73 +105,55 @@ impl InsertOutcome {
     }
 }
 
-/// How many shards a default-constructed pool interleaves sessions across.
-pub const SESSION_POOL_SHARDS: usize = 16;
-
 /// A concurrent pool of established sessions keyed by a caller-chosen client
 /// tag (the attestation-service workload uses the client's enclave id).
 ///
-/// Sessions are interleaved across shards by client tag; every shard lock is
-/// an [`OrderedMutex`] at [`rank::VERIFIER_SESSION_SHARD`], and only one
-/// shard is ever held at a time, so pool operations from many verifier
-/// threads compose with the lock-order discipline.
+/// The map is one [`OrderedMutex`] at [`rank::VERIFIER_SESSIONS`], above
+/// every other verifier rank, so pool operations from many verifier threads
+/// compose with the lock-order discipline.
 #[derive(Debug)]
 pub struct SessionPool {
-    // lock rank: rank::VERIFIER_SESSION_SHARD (one shard at a time)
-    shards: Vec<OrderedMutex<BTreeMap<u64, SecureSession>>>,
+    /// lock rank: rank::VERIFIER_SESSIONS
+    sessions: OrderedMutex<BTreeMap<u64, SecureSession>>,
 }
 
 impl Default for SessionPool {
     fn default() -> Self {
-        Self::with_shards(SESSION_POOL_SHARDS)
+        Self::new()
     }
 }
 
 impl SessionPool {
-    /// Creates an empty pool with the default shard count.
+    /// Creates an empty pool.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty pool interleaved across `shards` shards (≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
         Self {
-            shards: (0..shards)
-                .map(|_| OrderedMutex::new(rank::VERIFIER_SESSION_SHARD, BTreeMap::new()))
-                .collect(),
+            sessions: OrderedMutex::new(rank::VERIFIER_SESSIONS, BTreeMap::new()),
         }
-    }
-
-    fn shard(&self, client: u64) -> &OrderedMutex<BTreeMap<u64, SecureSession>> {
-        &self.shards[(client % self.shards.len() as u64) as usize]
     }
 
     /// Stores the session established for `client`, reporting whether a live
     /// session was displaced.
     pub fn insert(&self, client: u64, session: SecureSession) -> InsertOutcome {
-        match self.shard(client).lock().insert(client, session) {
+        match self.sessions.lock().insert(client, session) {
             None => InsertOutcome::Fresh,
             Some(_) => InsertOutcome::Replaced,
         }
     }
 
     /// Runs `f` over the live session for `client`, if any. The closure runs
-    /// under the client's shard lock, so traffic for one client is serialized
-    /// while traffic for other clients proceeds on other shards.
+    /// under the pool lock, so keep it to the session traffic itself.
     pub fn with_session<R>(&self, client: u64, f: impl FnOnce(&mut SecureSession) -> R) -> Option<R> {
-        self.shard(client).lock().get_mut(&client).map(f)
+        self.sessions.lock().get_mut(&client).map(f)
     }
 
     /// Drops `client`'s session (e.g. after its enclave is torn down).
     pub fn remove(&self, client: u64) -> Option<SecureSession> {
-        self.shard(client).lock().remove(&client)
+        self.sessions.lock().remove(&client)
     }
 
-    /// Number of live sessions (sums the shards; a racing insert may or may
-    /// not be counted, as with any concurrent size probe).
+    /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.sessions.lock().len()
     }
 
     /// Returns `true` if no session is live.
@@ -266,7 +246,7 @@ mod tests {
 
     #[test]
     fn pool_shards_interleave_and_count() {
-        let pool = SessionPool::with_shards(4);
+        let pool = SessionPool::new();
         for client in 0..64u64 {
             assert!(pool
                 .insert(client, SecureSession::new(&[9; 32], &[client as u8; 32]))

@@ -562,7 +562,7 @@ mod tests {
         "MAIL_LEDGER",
         "BACKEND",
         "MODEL_VISITED",
-        "VERIFIER_DRBG",
+        "VERIFIER_CHALLENGES",
         "VERIFIER_TRUST",
     ];
 
@@ -697,7 +697,7 @@ mod tests {
         // table is the one place the cross-tier acquisition order lives.
         let bare = r#"
             pub struct RemoteVerifier {
-                drbg: OrderedMutex<ChaChaDrbg>,
+                challenges: OrderedMutex<Challenges>,
                 trust: OrderedRwLock<Arc<TrustState>>,
             }
         "#;
@@ -707,10 +707,10 @@ mod tests {
         assert!(violations[1].message.contains("OrderedRwLock"));
         let documented = r#"
             pub struct RemoteVerifier {
-                // lock rank: rank::VERIFIER_DRBG
-                drbg: OrderedMutex<ChaChaDrbg>,
-                // lock rank: rank::VERIFIER_TRUST (swapped under the
-                // writer lock)
+                // lock rank: rank::VERIFIER_CHALLENGES
+                challenges: OrderedMutex<Challenges>,
+                // lock rank: rank::VERIFIER_TRUST (rebuilt under the
+                // write guard)
                 trust: OrderedRwLock<Arc<TrustState>>,
             }
         "#;
