@@ -188,6 +188,22 @@ impl Drop for SlotReservation<'_> {
     }
 }
 
+/// The zero-page cost of a region scrub, charged to the machine once, on
+/// drop, for the pages actually zeroed: a scrub that stops at a failed or
+/// crashed page crossing charges the same cycles as one `zero_page` call
+/// per page did.
+struct ZeroCharge<'a> {
+    machine: &'a Machine,
+    pages: u64,
+}
+
+impl Drop for ZeroCharge<'_> {
+    fn drop(&mut self) {
+        self.machine
+            .charge(self.machine.cost_model().zero_page.scaled(self.pages));
+    }
+}
+
 /// Handle to one enclave's lock-protected metadata (rank `ENCLAVE_META`).
 type EnclaveHandle = Arc<OrderedMutex<EnclaveMeta>>;
 /// Handle to one thread's lock-protected metadata (rank `THREAD_META`).
@@ -1081,24 +1097,33 @@ impl SecurityMonitor {
     /// the region from the shared cache and every TLB. Returns the cycles
     /// spent.
     ///
-    /// The page writes run outside the backend lock: they go through the
-    /// machine's own DRAM lock and need no isolation-primitive access.
+    /// The page writes run outside the backend lock: they take the
+    /// machine's own DRAM write lock, once for the whole region, and need no
+    /// isolation-primitive access.
     fn scrub_region(&self, info: &RegionInfo) -> SmResult<Cycles> {
         let mut cost = Cycles::ZERO;
         if !self.weakened_by(TestWeakening::SkipRegionScrub) {
-            for page in 0..info.page_count() {
-                // journal: one crossing per scrubbed page; a failure leaves
-                // the region Blocked and quarantined until a recover() pass
-                // scrubs it whole.
-                if fault_point!(self.machine.fault_injector(), "monitor.scrub-page")
-                    == Crossing::FailOp
-                {
-                    return Err(SmError::Again);
+            let mut zeroed = ZeroCharge {
+                machine: &self.machine,
+                pages: 0,
+            };
+            self.machine.with_memory_mut(|mem| {
+                for page in 0..info.page_count() {
+                    // journal: one crossing per scrubbed page; a failure
+                    // leaves the region Blocked and quarantined until a
+                    // recover() pass scrubs it whole.
+                    if fault_point!(self.machine.fault_injector(), "monitor.scrub-page")
+                        == Crossing::FailOp
+                    {
+                        return Err(SmError::Again);
+                    }
+                    mem.zero_page(info.base.offset(page * PAGE_SIZE as u64))
+                        .map_err(|_| SmError::Memory)?;
+                    zeroed.pages += 1;
                 }
-                self.machine
-                    .zero_page(info.base.offset(page * PAGE_SIZE as u64))?;
-                cost += self.machine.cost_model().zero_page;
-            }
+                Ok(())
+            })?;
+            cost += self.machine.cost_model().zero_page.scaled(zeroed.pages);
         }
         {
             let mut backend = self.backend.lock();

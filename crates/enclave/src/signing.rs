@@ -18,8 +18,9 @@
 //!   ([`ANY_SENDER`]) mode and caches the derived keypair once;
 //!   [`SigningEnclave::drain`] then consumes every queued request in FIFO
 //!   order, consulting a signature cache keyed by
-//!   `(requester measurement, challenge class)` — so re-issued challenges
-//!   cost a lookup, not an Ed25519 signature — and mails each reply to the
+//!   `(requester measurement, challenge class)` and bounded by
+//!   `SIGNATURE_TABLE_CAP` — so re-issued challenges cost a lookup, not an
+//!   Ed25519 signature — and mails each reply to the
 //!   requester identified by the SM's sender tag (no out-of-band requester
 //!   id needed: the fabric's [`SenderIdentity::Enclave`] carries it).
 
@@ -89,6 +90,14 @@ impl AttestationReply {
         })
     }
 }
+
+/// Most entries [`SigningEnclave::drain`] files in the signature table: past
+/// this, fresh challenges are still signed but no longer remembered. Fleet
+/// traffic draws a fresh nonce for every session and never hits the table,
+/// so without a cap it grows by one entry per signed session; explorer
+/// worlds, which repeat challenge classes, stay far below it. Preloaded
+/// signatures are not capped.
+const SIGNATURE_TABLE_CAP: usize = 4096;
 
 /// Signature-cache key: the requester's measurement plus the challenge class
 /// (nonce, report data). Identical triples produce identical reports, so the
@@ -265,7 +274,9 @@ impl SigningEnclave {
         } else {
             let keypair = self.cached_keypair.as_ref().expect("service opened");
             let signature = keypair.sign(&report.to_signed_bytes());
-            self.signature_cache.insert(key, signature);
+            if self.signature_cache.len() < SIGNATURE_TABLE_CAP {
+                self.signature_cache.insert(key, signature);
+            }
             self.signatures_produced += 1;
             signature
         };
@@ -348,5 +359,30 @@ mod tests {
         assert_eq!(encoded.len(), REPLY_LEN);
         assert_eq!(AttestationReply::decode(&encoded).expect("round trip"), reply);
         assert!(AttestationReply::decode(&encoded[..REPLY_LEN - 1]).is_none());
+    }
+
+    #[test]
+    fn signature_table_stops_growing_at_its_cap() {
+        let keypair = Keypair::from_seed([0x5a; 32]);
+        let public = *keypair.public();
+        let mut service = SigningEnclave::new(EnclaveId::new(1));
+        service.cached_keypair = Some(keypair);
+        let requester = Measurement([3; 32]);
+        for i in 0..SIGNATURE_TABLE_CAP + 10 {
+            let mut nonce = [0u8; 32];
+            nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            let request = AttestationRequest {
+                nonce,
+                report_data: [9; 32],
+            };
+            let reply = service.sign_request(requester, &request);
+            assert_eq!(reply.report.nonce, nonce);
+            assert!(
+                public.verify(&reply.report.to_signed_bytes(), &reply.signature),
+                "reply {i}"
+            );
+        }
+        assert!(service.signature_cache.len() <= SIGNATURE_TABLE_CAP);
+        assert_eq!(service.cache_stats(), (0, SIGNATURE_TABLE_CAP as u64 + 10));
     }
 }

@@ -522,9 +522,13 @@ impl CheckedWorld {
                     let (base, len) = self.region_geometry(*region);
                     let dirty_at = machine.with_memory(|mem| {
                         for offset in (0..len).step_by(PAGE_SIZE) {
-                            let page = mem
-                                .page_slice(base.offset(offset))
-                                .expect("region memory is populated DRAM");
+                            // A page with no storage reads as zeroes.
+                            let Some(page) = mem
+                                .backed_page(base.offset(offset))
+                                .expect("region memory is populated DRAM")
+                            else {
+                                continue;
+                            };
                             if let Some(position) = page.iter().position(|&b| b != 0) {
                                 return Some(offset + position as u64);
                             }
@@ -611,11 +615,15 @@ impl CheckedWorld {
         let hit = machine.with_memory(|mem| {
             for index in candidates {
                 let addr = config.memory_base.offset(index * PAGE_SIZE as u64);
-                let page = mem.page_slice(addr).expect("dirty pages are populated DRAM");
+                // A secret is never zero (tagged values), so a page with no
+                // storage, which reads as zeroes, cannot hold one.
+                let Some(page) = mem.backed_page(addr).expect("dirty pages are populated DRAM")
+                else {
+                    continue;
+                };
                 for (word_index, chunk) in page.chunks_exact(8).enumerate() {
                     let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    // Fast path: freshly scrubbed pages are all zeroes, and a
-                    // secret is never zero (tagged values).
+                    // Fast path: zero words cannot be secrets either.
                     if word != 0 && secrets.contains(&word) {
                         return Some((word, addr.as_u64() + (word_index * 8) as u64));
                     }

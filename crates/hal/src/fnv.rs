@@ -27,6 +27,15 @@ pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// `fnv1a(seed, &[0; len])` without touching any bytes. A zero word (or
+/// byte) leaves the xor step unchanged, so every round is one multiply by
+/// the prime, and `len` zero bytes take `len / 8 + len % 8` rounds: the
+/// digest is the seeded basis times one power of the prime.
+pub fn fnv1a_zeros(seed: u64, len: usize) -> u64 {
+    let rounds = u32::try_from(len / 8 + len % 8).expect("under 2^32 rounds");
+    (seed ^ OFFSET_BASIS).wrapping_mul(PRIME.wrapping_pow(rounds))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,5 +47,18 @@ mod tests {
         assert_ne!(fnv1a(0, b"abc"), fnv1a(1, b"abc"));
         // Chunked and trailing bytes both contribute.
         assert_ne!(fnv1a(0, &[7u8; 16]), fnv1a(0, &[7u8; 17]));
+    }
+
+    #[test]
+    fn zeros_match_hashing_zero_bytes() {
+        for len in [0, 1, 7, 8, 9, 4096, 4099] {
+            for seed in [0, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+                assert_eq!(
+                    fnv1a_zeros(seed, len),
+                    fnv1a(seed, &vec![0u8; len]),
+                    "len {len}"
+                );
+            }
+        }
     }
 }

@@ -141,7 +141,11 @@ impl From<MemError> for MachineError {
 ///   digest cache take the write lock. Both dirty-page bitmaps live inside
 ///   `PhysMemory`, so every mutator marks them under the same write lock
 ///   that changes the bytes — a drain can never race a write into
-///   under-reporting.
+///   under-reporting. A caller of [`Machine::with_memory_mut`] may cross
+///   fault points while it holds the write lock (the monitor's region
+///   scrub crosses one per page), so the fault injector's lock nests
+///   inside the memory write lock; the injector never takes a machine
+///   lock, so the nesting cannot invert.
 /// * `harts`, `tlbs` and `pending_interrupts` are per-hart locks: harts
 ///   never take each other's state lock except in `tlb_shootdown`
 ///   (which takes the TLB locks one at a time, never nested).
@@ -383,7 +387,8 @@ impl Machine {
     }
 
     /// Runs `f` with a mutable reference to physical memory (used by loaders
-    /// that need multi-step exclusive access, e.g. the page-table builder).
+    /// that need multi-step exclusive access, e.g. the page-table builder,
+    /// and by the monitor's region scrub).
     pub fn with_memory_mut<R>(&self, f: impl FnOnce(&mut PhysMemory) -> R) -> R {
         f(&mut self.memory.write())
     }

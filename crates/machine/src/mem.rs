@@ -1,9 +1,14 @@
 //! Simulated physical memory.
 
 use sanctorum_hal::addr::{PhysAddr, PAGE_SIZE};
+use sanctorum_hal::fnv::fnv1a_zeros;
 use std::fmt;
+use std::ops::Range;
 
 pub(crate) use sanctorum_hal::fnv::fnv1a;
+
+/// What [`PhysMemory::page_slice`] lends out for a page with no storage.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// Errors raised by physical-memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,12 +92,19 @@ impl DirtyBitmap {
 
 /// Byte-addressable simulated DRAM starting at a configurable base address.
 ///
+/// Storage is sparse: DRAM is one slot per 4 KiB page, and an empty slot is
+/// a page of zeroes that holds no bytes. Boot allocates no page storage; a
+/// write materializes its page only if the page already has storage or the
+/// write carries a non-zero byte; [`PhysMemory::zero_page`] drops it again.
+/// Reads of an empty slot yield zeroes, so the layout is invisible to every
+/// reader.
+///
 /// Every write (stores, DMA, zeroing) records the touched pages in two
-/// page-granular dirty bitmaps: one drained by external consumers through
-/// [`PhysMemory::drain_dirty_pages`] (the explorer's incremental secret
-/// scan), one private to the incremental [`PhysMemory::digest`] cache. The
-/// two have independent cursors, so draining one never hides writes from the
-/// other.
+/// page-granular dirty bitmaps, whether or not it materialized storage: one
+/// drained by external consumers through [`PhysMemory::drain_dirty_pages`]
+/// (the explorer's incremental secret scan), one private to the incremental
+/// [`PhysMemory::digest`] cache. The two have independent cursors, so
+/// draining one never hides writes from the other.
 ///
 /// # Examples
 ///
@@ -101,8 +113,10 @@ impl DirtyBitmap {
 /// use sanctorum_hal::addr::PhysAddr;
 ///
 /// let mut mem = PhysMemory::new(PhysAddr::new(0x8000_0000), 64 * 1024);
+/// assert_eq!(mem.backed_pages(), 0, "boot allocates no page storage");
 /// mem.write_u64(PhysAddr::new(0x8000_0100), 0xdead_beef)?;
 /// assert_eq!(mem.read_u64(PhysAddr::new(0x8000_0100))?, 0xdead_beef);
+/// assert_eq!(mem.backed_pages(), 1);
 /// assert_eq!(mem.drain_dirty_pages(), vec![0]);
 /// assert!(mem.drain_dirty_pages().is_empty(), "drained bits are cleared");
 /// # Ok::<(), sanctorum_machine::mem::MemError>(())
@@ -110,7 +124,8 @@ impl DirtyBitmap {
 #[derive(Clone)]
 pub struct PhysMemory {
     base: PhysAddr,
-    bytes: Vec<u8>,
+    /// One slot per page; `None` is a page of zeroes with no storage.
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     /// Pages written since the last external drain.
     dirty: DirtyBitmap,
     /// Pages written since the digest cache last refreshed.
@@ -127,13 +142,28 @@ impl fmt::Debug for PhysMemory {
             f,
             "PhysMemory {{ base: {}, size: {:#x} }}",
             self.base,
-            self.bytes.len()
+            self.size()
         )
+    }
+}
+
+/// Splits the validated byte range `[offset, offset + len)` at page
+/// boundaries and calls `f(page, offset within page, piece's range within
+/// the access)` for each piece, in ascending order.
+fn for_each_piece(offset: usize, len: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
+    let mut done = 0;
+    while done < len {
+        let at = offset + done;
+        let within = at % PAGE_SIZE;
+        let piece = (PAGE_SIZE - within).min(len - done);
+        f(at / PAGE_SIZE, within, done..done + piece);
+        done += piece;
     }
 }
 
 impl PhysMemory {
     /// Creates zero-initialized memory of `size` bytes starting at `base`.
+    /// No page storage is allocated until a non-zero byte is written.
     ///
     /// # Panics
     ///
@@ -147,7 +177,7 @@ impl PhysMemory {
         digest_dirty.mark_all();
         Self {
             base,
-            bytes: vec![0u8; size],
+            pages: vec![None; pages],
             dirty: DirtyBitmap::new(pages),
             digest_dirty,
             page_digests: vec![0u64; pages],
@@ -157,7 +187,12 @@ impl PhysMemory {
 
     /// Number of 4 KiB pages of populated DRAM.
     pub fn page_count(&self) -> usize {
-        self.bytes.len() / PAGE_SIZE
+        self.pages.len()
+    }
+
+    /// Number of pages that hold storage; every other page reads as zeroes.
+    pub fn backed_pages(&self) -> usize {
+        self.pages.iter().filter(|page| page.is_some()).count()
     }
 
     /// Marks the pages overlapping `[offset, offset + len)` dirty in both
@@ -176,8 +211,9 @@ impl PhysMemory {
     /// written since the previous drain, ascending, and clears the bitmap.
     ///
     /// Marking happens on every mutating access, including rewrites of
-    /// identical bytes — the result is a *superset* of the pages whose
-    /// contents changed, never a subset.
+    /// identical bytes and zeroing of pages that hold no storage — the
+    /// result is a *superset* of the pages whose contents changed, never a
+    /// subset.
     pub fn drain_dirty_pages(&mut self) -> Vec<u64> {
         let mut pages = Vec::new();
         self.dirty.drain(|page| pages.push(page as u64));
@@ -191,7 +227,7 @@ impl PhysMemory {
 
     /// Returns the size of DRAM in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.pages.len() * PAGE_SIZE
     }
 
     /// Fingerprints all of DRAM, folded with `seed`. Used by
@@ -201,16 +237,21 @@ impl PhysMemory {
     /// The fingerprint is incremental: each page's FNV-1a digest (salted
     /// with its index so identical pages don't cancel) is cached and folded
     /// into an XOR accumulator; a digest call re-hashes only the pages
-    /// written since the previous call. The result is a pure function of
-    /// `seed` and the current memory contents — cache state never leaks into
-    /// the value, so interleaving extra digest calls between identical write
-    /// sequences cannot change what is reported.
+    /// written since the previous call. A page with no storage costs one
+    /// [`fnv1a_zeros`], which equals hashing its 4 KiB of zeroes. The result
+    /// is a pure function of `seed` and the current memory contents — cache
+    /// state and storage layout never leak into the value, so interleaving
+    /// extra digest calls between identical write sequences cannot change
+    /// what is reported.
     pub fn digest(&mut self, seed: u64) -> u64 {
-        let (bytes, page_digests, acc) =
-            (&self.bytes, &mut self.page_digests, &mut self.digest_acc);
+        let (pages, page_digests, acc) =
+            (&self.pages, &mut self.page_digests, &mut self.digest_acc);
         self.digest_dirty.drain(|page| {
             let salted = fnv1a(0x9e3779b97f4a7c15, &(page as u64).to_le_bytes());
-            let fresh = fnv1a(salted, &bytes[page * PAGE_SIZE..(page + 1) * PAGE_SIZE]);
+            let fresh = match &pages[page] {
+                Some(bytes) => fnv1a(salted, bytes.as_slice()),
+                None => fnv1a_zeros(salted, PAGE_SIZE),
+            };
             *acc ^= page_digests[page] ^ fresh;
             page_digests[page] = fresh;
         });
@@ -224,7 +265,7 @@ impl PhysMemory {
         };
         (offset as usize)
             .checked_add(len)
-            .is_some_and(|end| end <= self.bytes.len())
+            .is_some_and(|end| end <= self.size())
     }
 
     fn offset_of(&self, addr: PhysAddr, len: usize) -> Result<usize, MemError> {
@@ -242,18 +283,34 @@ impl PhysMemory {
     /// Returns [`MemError::OutOfRange`] if the range is not populated.
     pub fn read_bytes(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let offset = self.offset_of(addr, buf.len())?;
-        buf.copy_from_slice(&self.bytes[offset..offset + buf.len()]);
+        for_each_piece(offset, buf.len(), |page, within, range| {
+            let piece = &mut buf[range];
+            match &self.pages[page] {
+                Some(bytes) => piece.copy_from_slice(&bytes[within..within + piece.len()]),
+                None => piece.fill(0),
+            }
+        });
         Ok(())
     }
 
-    /// Writes `data` starting at `addr`.
+    /// Writes `data` starting at `addr`. A page without storage stays
+    /// without it when its piece of `data` is all zeroes.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the range is not populated.
     pub fn write_bytes(&mut self, addr: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         let offset = self.offset_of(addr, data.len())?;
-        self.bytes[offset..offset + data.len()].copy_from_slice(data);
+        let pages = &mut self.pages;
+        for_each_piece(offset, data.len(), |page, within, range| {
+            let piece = &data[range];
+            let slot = &mut pages[page];
+            if slot.is_none() && piece.iter().all(|&b| b == 0) {
+                return;
+            }
+            let bytes = slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            bytes[within..within + piece.len()].copy_from_slice(piece);
+        });
         self.mark_dirty(offset, data.len());
         Ok(())
     }
@@ -278,58 +335,48 @@ impl PhysMemory {
         self.write_bytes(addr, &value.to_le_bytes())
     }
 
-    /// Zeroes the 4 KiB page containing `addr` (used when cleaning memory
-    /// before re-allocation to another protection domain).
+    /// Zeroes the 4 KiB page containing `addr` by dropping its storage
+    /// (used when cleaning memory before re-allocation to another
+    /// protection domain).
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the page is not populated.
     pub fn zero_page(&mut self, addr: PhysAddr) -> Result<(), MemError> {
-        let page_base = addr.align_down();
-        let offset = self.offset_of(page_base, PAGE_SIZE)?;
-        self.bytes[offset..offset + PAGE_SIZE].fill(0);
+        let offset = self.offset_of(addr.align_down(), PAGE_SIZE)?;
+        self.pages[offset / PAGE_SIZE] = None;
         self.mark_dirty(offset, PAGE_SIZE);
         Ok(())
     }
 
-    /// Zeroes an arbitrary page-aligned range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the range is not populated.
-    pub fn zero_range(&mut self, addr: PhysAddr, len: usize) -> Result<(), MemError> {
-        let offset = self.offset_of(addr, len)?;
-        self.bytes[offset..offset + len].fill(0);
-        self.mark_dirty(offset, len);
-        Ok(())
-    }
-
-    /// Reads one page (4 KiB) into a freshly allocated buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the page is not populated.
-    pub fn read_page(&self, addr: PhysAddr) -> Result<Vec<u8>, MemError> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.read_bytes(addr.align_down(), &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Borrows the page (4 KiB) containing `addr` in place — the zero-copy
-    /// variant of [`PhysMemory::read_page`] for scanners that inspect many
-    /// pages per step.
+    /// Borrows the page (4 KiB) containing `addr` in place, for scanners
+    /// that inspect many pages per step. A page with no storage lends a
+    /// shared page of zeroes.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the page is not populated.
     pub fn page_slice(&self, addr: PhysAddr) -> Result<&[u8], MemError> {
+        Ok(self.backed_page(addr)?.unwrap_or(&ZERO_PAGE))
+    }
+
+    /// Borrows the page (4 KiB) containing `addr` if it holds storage;
+    /// `None` means the page reads as zeroes, so scanners looking for
+    /// non-zero bytes can skip it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfRange`] if the page is not populated.
+    pub fn backed_page(&self, addr: PhysAddr) -> Result<Option<&[u8]>, MemError> {
         let offset = self.offset_of(addr.align_down(), PAGE_SIZE)?;
-        Ok(&self.bytes[offset..offset + PAGE_SIZE])
+        Ok(self.pages[offset / PAGE_SIZE]
+            .as_deref()
+            .map(|bytes| bytes.as_slice()))
     }
 
     /// Returns the highest populated physical address plus one.
     pub fn end(&self) -> PhysAddr {
-        PhysAddr::new(self.base.as_u64() + self.bytes.len() as u64)
+        PhysAddr::new(self.base.as_u64() + self.size() as u64)
     }
 }
 
@@ -389,10 +436,12 @@ mod tests {
     fn read_page_returns_full_page() {
         let mut m = mem();
         m.write_bytes(PhysAddr::new(0x8000_3000), &[7u8; 16]).unwrap();
-        let page = m.read_page(PhysAddr::new(0x8000_3abc)).unwrap();
+        let page = m.page_slice(PhysAddr::new(0x8000_3abc)).unwrap();
         assert_eq!(page.len(), PAGE_SIZE);
         assert_eq!(&page[..16], &[7u8; 16]);
         assert_eq!(page[16], 0);
+        let unbacked = m.page_slice(PhysAddr::new(0x8000_4000)).unwrap();
+        assert_eq!(unbacked, &[0u8; PAGE_SIZE][..]);
     }
 
     #[test]
