@@ -29,6 +29,11 @@
 //!   allocation and batched backend flushes, lifecycle churn must not
 //!   serialize on the metadata locks. Only enforced at `host_cpus >= 8`;
 //!   the ratio is recorded in the JSON either way.
+//! * **at most 1 retry per step at 2 threads, mixed-mutation** — workers on
+//!   disjoint regions must not collide: a `ConcurrentCall` storm on the
+//!   write path is a liveness bug. Only enforced at `host_cpus >= 2`, where
+//!   the two workers truly overlap; the 2-thread/1-thread throughput ratio
+//!   is recorded in the JSON next to it.
 //! * **`--baseline PATH`** — single-thread FineGrained read-mostly
 //!   throughput must not regress more than 2× against the committed JSON,
 //!   normalized by each run's `calibration_hashes_per_second`.
@@ -50,6 +55,9 @@ const MAX_REGRESSION_FACTOR: f64 = 2.0;
 const CONTENTION_FLOOR: f64 = 2.0;
 const SCALING_FLOOR: f64 = 2.0;
 const MIXED_SCALING_FLOOR: f64 = 3.0;
+/// Ceiling on `ConcurrentCall` retries per committed step in the
+/// mixed-mutation FineGrained 2-thread cell.
+const MIXED_RETRY_CEILING: f64 = 1.0;
 /// Per-hart id-allocation batch for the fine-grained cells (the global-lock
 /// cells keep the legacy batch of 1: the giant lock serializes allocation
 /// anyway, and batch 1 is the configuration the determinism suite pins).
@@ -187,10 +195,12 @@ fn main() {
     let fine_4t = find(&cells, WorkloadProfile::ReadMostly, LockingMode::FineGrained, 4);
     let global_4t = find(&cells, WorkloadProfile::ReadMostly, LockingMode::Global, 4);
     let mixed_fine_1t = find(&cells, WorkloadProfile::MixedMutation, LockingMode::FineGrained, 1);
+    let mixed_fine_2t = find(&cells, WorkloadProfile::MixedMutation, LockingMode::FineGrained, 2);
     let mixed_fine_8t = find(&cells, WorkloadProfile::MixedMutation, LockingMode::FineGrained, 8);
     let contention_ratio = fine_4t.steps_per_second / global_4t.steps_per_second;
     let scaling_ratio = fine_4t.steps_per_second / fine_1t.steps_per_second;
     let mixed_scaling_ratio = mixed_fine_8t.steps_per_second / mixed_fine_1t.steps_per_second;
+    let mixed_2t_ratio = mixed_fine_2t.steps_per_second / mixed_fine_1t.steps_per_second;
     println!("\nfine/global at 4 threads (read-mostly): {contention_ratio:.2}x (floor {CONTENTION_FLOOR}x)");
     println!(
         "fine 4t/1t (read-mostly):               {scaling_ratio:.2}x (floor {SCALING_FLOOR}x, enforced at host_cpus >= 4)"
@@ -201,6 +211,11 @@ fn main() {
     println!(
         "fine 8t retry rate (mixed-mutation):    {:.3} retries/step",
         mixed_fine_8t.retry_rate
+    );
+    println!("fine 2t/1t (mixed-mutation):            {mixed_2t_ratio:.2}x");
+    println!(
+        "fine 2t retry rate (mixed-mutation):    {:.3} retries/step (ceiling {MIXED_RETRY_CEILING}, enforced at host_cpus >= 2)",
+        mixed_fine_2t.retry_rate
     );
 
     if let Some(path) = &out {
@@ -233,6 +248,8 @@ fn main() {
   "fine_4t_vs_1t_read_mostly_ratio": {scaling_ratio:.2},
   "fine_8t_vs_1t_mixed_mutation_ratio": {mixed_scaling_ratio:.2},
   "fine_8t_mixed_mutation_retry_rate": {:.4},
+  "fine_2t_vs_1t_mixed_mutation_ratio": {mixed_2t_ratio:.2},
+  "fine_2t_mixed_mutation_retry_rate": {:.4},
   "results": [
 {results}  ]
 }}
@@ -241,6 +258,7 @@ fn main() {
             fine_4t.steps_per_second,
             global_4t.steps_per_second,
             mixed_fine_8t.retry_rate,
+            mixed_fine_2t.retry_rate,
         );
         std::fs::write(path, json).expect("write result JSON");
         println!("wrote {path}");
@@ -267,6 +285,15 @@ fn main() {
              host CPUs — the write path is serializing"
         );
         std::process::exit(5);
+    }
+    if host_cpus >= 2 && mixed_fine_2t.retry_rate > MIXED_RETRY_CEILING {
+        eprintln!(
+            "FAIL: mixed-mutation fine-grained at 2 threads retries {:.3} times per step \
+             (ceiling {MIXED_RETRY_CEILING}) despite {host_cpus} host CPUs — workers on \
+             disjoint regions are colliding",
+            mixed_fine_2t.retry_rate
+        );
+        std::process::exit(6);
     }
 
     if let Some(path) = &baseline {

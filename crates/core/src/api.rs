@@ -237,7 +237,8 @@ pub trait SmApi {
     ///
     /// # Errors
     ///
-    /// Fails if no recipient mailbox accepts this sender or the message is
+    /// Fails if the recipient does not exist or is being deleted, if no
+    /// recipient mailbox accepts this sender, or if the message is
     /// oversized.
     fn send_mail(
         &self,

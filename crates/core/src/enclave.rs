@@ -3,6 +3,7 @@
 use crate::error::{SmError, SmResult};
 use crate::mailbox::Mailbox;
 use crate::measurement::{Measurement, MeasurementContext};
+use crate::resource::{shard_bit, ResourceId, ShardMask};
 use sanctorum_hal::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use sanctorum_hal::domain::EnclaveId;
 use sanctorum_hal::isolation::RegionId;
@@ -19,6 +20,12 @@ pub enum EnclaveLifecycle {
     /// Sealed by `init_enclave`; threads may be scheduled, no further
     /// modification through the API is possible.
     Initialized,
+    /// Terminal: `delete_enclave` committed under this enclave's guard and
+    /// is tearing it down. Every call that takes the guard afterwards
+    /// treats the enclave as gone ([`SmError::UnknownEnclave`]), so nothing
+    /// can start, load, receive a grant or receive mail between the
+    /// delete's commit and its table removal.
+    Deleted,
 }
 
 /// A contiguous physical memory window granted to the enclave (the pages of
@@ -72,6 +79,12 @@ pub struct EnclaveMeta {
     pub mailboxes: Vec<Mailbox>,
     /// Number of threads currently running on cores.
     pub running_threads: usize,
+    /// The resource shards that may hold something this enclave owns: its
+    /// windows' shards from creation, plus the shard of every resource
+    /// `grant_resource` gave it (set while holding that shard and this
+    /// record's guard). Never cleared, so it may over-approximate;
+    /// `delete_enclave` locks exactly these shards.
+    pub shard_mask: ShardMask,
     /// Generation stamp of the last audit-visible mutation, drawn from the
     /// monitor's global enclave counter (values are unique process-wide, so
     /// a recreated enclave can never alias a stale cached audit record).
@@ -93,6 +106,9 @@ impl EnclaveMeta {
         measurement_ctx: MeasurementContext,
     ) -> Self {
         let next_free_page = windows.first().map(|w| w.base).unwrap_or(PhysAddr::new(0));
+        let shard_mask = windows
+            .iter()
+            .fold(0, |mask, w| mask | shard_bit(ResourceId::Region(w.region)));
         Self {
             id,
             lifecycle: EnclaveLifecycle::Loading,
@@ -109,6 +125,7 @@ impl EnclaveMeta {
             threads: Vec::new(),
             mailboxes: (0..MAILBOXES_PER_ENCLAVE).map(|_| Mailbox::new()).collect(),
             running_threads: 0,
+            shard_mask,
             audit_generation: 0,
         }
     }
@@ -200,18 +217,32 @@ impl EnclaveMeta {
         })
     }
 
+    /// Requires the enclave not to be [`EnclaveLifecycle::Deleted`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmError::UnknownEnclave`] for a deleted enclave.
+    pub fn require_live(&self) -> SmResult<()> {
+        if self.lifecycle == EnclaveLifecycle::Deleted {
+            Err(SmError::UnknownEnclave(self.id))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Requires the enclave to be in the `Loading` state.
     ///
     /// # Errors
     ///
-    /// Returns [`SmError::InvalidState`] otherwise.
+    /// Returns [`SmError::UnknownEnclave`] for a deleted enclave and
+    /// [`SmError::InvalidState`] for an initialized one.
     pub fn require_loading(&self) -> SmResult<()> {
-        if self.lifecycle == EnclaveLifecycle::Loading {
-            Ok(())
-        } else {
-            Err(SmError::InvalidState {
+        match self.lifecycle {
+            EnclaveLifecycle::Loading => Ok(()),
+            EnclaveLifecycle::Initialized => Err(SmError::InvalidState {
                 reason: "enclave is already initialized",
-            })
+            }),
+            EnclaveLifecycle::Deleted => Err(SmError::UnknownEnclave(self.id)),
         }
     }
 
@@ -219,14 +250,15 @@ impl EnclaveMeta {
     ///
     /// # Errors
     ///
-    /// Returns [`SmError::InvalidState`] otherwise.
+    /// Returns [`SmError::UnknownEnclave`] for a deleted enclave and
+    /// [`SmError::InvalidState`] for one still loading.
     pub fn require_initialized(&self) -> SmResult<()> {
-        if self.lifecycle == EnclaveLifecycle::Initialized {
-            Ok(())
-        } else {
-            Err(SmError::InvalidState {
+        match self.lifecycle {
+            EnclaveLifecycle::Initialized => Ok(()),
+            EnclaveLifecycle::Loading => Err(SmError::InvalidState {
                 reason: "enclave is still loading",
-            })
+            }),
+            EnclaveLifecycle::Deleted => Err(SmError::UnknownEnclave(self.id)),
         }
     }
 }
@@ -305,6 +337,22 @@ mod tests {
         m.require_initialized().unwrap();
         assert!(m.require_loading().is_err());
         assert_eq!(m.measurement().unwrap(), Measurement([9; 32]));
+        m.lifecycle = EnclaveLifecycle::Deleted;
+        for refused in [
+            m.require_live(),
+            m.require_loading(),
+            m.require_initialized(),
+        ] {
+            assert_eq!(refused, Err(SmError::UnknownEnclave(m.id)));
+        }
+    }
+
+    #[test]
+    fn shard_mask_covers_the_windows() {
+        let m = meta();
+        let expected = shard_bit(ResourceId::Region(RegionId::new(1)))
+            | shard_bit(ResourceId::Region(RegionId::new(2)));
+        assert_eq!(m.shard_mask, expected);
     }
 
     #[test]

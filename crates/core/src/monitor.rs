@@ -32,7 +32,10 @@ use crate::lockorder::{
 };
 use crate::mailbox::{AcceptMode, SenderIdentity, MAIL_SENDER_QUOTA, MAX_MAIL_LEN};
 use crate::measurement::{Measurement, MeasurementContext};
-use crate::resource::{ResourceId, ResourceMap, ResourceState, ShardedResourceMap};
+use crate::resource::{
+    shard_bit, shard_of, ResourceId, ResourceMap, ResourceState, ShardMask, ShardedResourceMap,
+    RESOURCE_SHARDS,
+};
 use crate::session::CallerSession;
 use crate::thread::{ThreadId, ThreadMeta, ThreadState};
 use sanctorum_hal::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
@@ -208,6 +211,8 @@ impl Drop for ZeroCharge<'_> {
 type EnclaveHandle = Arc<OrderedMutex<EnclaveMeta>>;
 /// Handle to one thread's lock-protected metadata (rank `THREAD_META`).
 type ThreadHandle = Arc<OrderedMutex<ThreadMeta>>;
+/// One held resource shard (rank `RESOURCE_SHARD_BASE + k`).
+type ShardGuard<'a> = OrderedMutexGuard<'a, ResourceMap>;
 
 struct SmState {
     /// The Fig. 2 ownership map, sharded so transactions on different
@@ -817,17 +822,22 @@ impl SecurityMonitor {
         self.try_lock(self.state.resources.shard(id))
     }
 
-    /// Acquires every resource shard, in ascending shard (= lock-rank)
-    /// order, under the locking discipline — the whole-map view the
-    /// delete-enclave ownership sweep needs. In FineGrained mode any
+    /// Acquires the shards `mask` names, in ascending shard (= lock-rank)
+    /// order, under the locking discipline; slot `k` of the result holds
+    /// shard `k`'s guard if `mask` names it. In FineGrained mode any
     /// conflict releases everything acquired so far and reports
     /// [`SmError::ConcurrentCall`]; because every multi-shard transaction
     /// acquires in the same ascending order, the holder of the lowest
     /// contended shard always makes progress (no livelock).
-    fn try_lock_all_shards(&self) -> SmResult<Vec<OrderedMutexGuard<'_, ResourceMap>>> {
-        let mut guards = Vec::with_capacity(self.state.resources.shards().len());
-        for shard in self.state.resources.shards() {
-            guards.push(self.try_lock(shard)?);
+    fn try_lock_shards(
+        &self,
+        mask: ShardMask,
+    ) -> SmResult<[Option<ShardGuard<'_>>; RESOURCE_SHARDS]> {
+        let mut guards = std::array::from_fn(|_| None);
+        for (k, shard) in self.state.resources.shards().iter().enumerate() {
+            if mask & (1 << k) != 0 {
+                guards[k] = Some(self.try_lock(shard)?);
+            }
         }
         Ok(guards)
     }
@@ -1058,21 +1068,29 @@ impl SecurityMonitor {
 
     /// Idempotent redo of a crashed `delete_enclave`, replayed from the
     /// journal: the API path's own teardown steps, minus validation (the
-    /// crashed call already passed it). Every step is a no-op where the
-    /// crashed call already got past it; recovery runs at a quiescent point,
-    /// so the steps' blocking locks never wait.
+    /// crashed call already passed it), re-blocking through the enclave's
+    /// own shard mask. Every step is a no-op where the crashed call already
+    /// got past it; recovery runs at a quiescent point, so the steps'
+    /// blocking locks never wait. The table removal is the delete's last
+    /// step, so an enclave already gone from the table has nothing left to
+    /// redo.
     fn redo_delete(&self, eid: EnclaveId) {
-        let handle = self.state.enclaves.read().get(&eid).cloned();
-        if let Some(enclave) = handle {
-            let tids = enclave.lock().threads.clone();
-            self.reclaim_thread_slots(tids);
-            self.purge_mail_fabric(eid, &enclave);
-            self.remove_enclave(eid);
+        let Some(enclave) = self.state.enclaves.read().get(&eid).cloned() else {
+            return;
+        };
+        let (tids, mask) = {
+            let meta = enclave.lock();
+            (meta.threads.clone(), meta.shard_mask)
+        };
+        self.reclaim_thread_slots(tids);
+        for (k, shard) in self.state.resources.shards().iter().enumerate() {
+            if mask & (1 << k) != 0 {
+                Self::block_owned(&mut shard.lock(), eid);
+            }
         }
-        // Blocking the owned regions before or after the table removal is
-        // the same end state at a quiescent point: nothing can grant the
-        // dead id a region in between.
-        let _ = self.sweep_owned_regions(eid);
+        self.touch_resources();
+        self.purge_mail_fabric(eid, &enclave);
+        self.remove_enclave(eid);
     }
 
     /// Retries the full scrub of a quarantined region; on success the region
@@ -1156,43 +1174,22 @@ impl SecurityMonitor {
         self.touch_threads();
     }
 
-    /// Blocks every resource in `shard` that `eid` still owns and returns
-    /// whether any changed. A resource may already be blocked under this
-    /// id: enclave ids are physical addresses, so after a delete whose
-    /// blocked regions the OS never cleaned, a new enclave over the same
-    /// base region reuses the id and inherits the stale flags. The goal
+    /// Blocks every resource in `shard` that `eid` still owns. A resource
+    /// may already be blocked under this id: enclave ids are physical
+    /// addresses, so after a delete whose blocked regions the OS never
+    /// cleaned, a new enclave over the same base region reuses the id and
+    /// inherits the stale flags. The goal
     /// state (flagged for release) is already reached there, and skipping
     /// keeps the sweep total — failing halfway would strand a live enclave
     /// with blocked windows (found by the adversarial explorer).
-    fn block_owned(shard: &mut ResourceMap, eid: EnclaveId) -> SmResult<bool> {
-        let mut blocked = false;
+    fn block_owned(shard: &mut ResourceMap, eid: EnclaveId) {
         for rid in shard.owned_by(DomainKind::Enclave(eid)) {
-            if let Ok(ResourceState::Blocked(_)) = shard.state(rid) {
-                continue;
+            if let Ok(ResourceState::Owned(_)) = shard.state(rid) {
+                shard
+                    .block(DomainKind::SecurityMonitor, rid)
+                    .expect("the SM may block any owned resource");
             }
-            shard.block(DomainKind::SecurityMonitor, rid)?;
-            blocked = true;
         }
-        Ok(blocked)
-    }
-
-    /// Blocks whatever `eid` still owns, one blocking shard lock at a time.
-    /// Run once the enclave is gone from the table: a concurrent
-    /// `grant_resource` may have granted it a region after the delete's
-    /// locked sweep (its liveness re-check passed while the enclave was
-    /// still listed), and no further grant can name it now — so this makes
-    /// "no resource owned by a dead enclave" hold at every quiescent point.
-    /// Blocking acquires are safe: the caller holds nothing, and the sweep
-    /// is a no-op in the common case.
-    fn sweep_owned_regions(&self, eid: EnclaveId) -> SmResult<()> {
-        let mut swept = false;
-        for shard in self.state.resources.shards() {
-            swept |= Self::block_owned(&mut shard.lock(), eid)?;
-        }
-        if swept {
-            self.touch_resources();
-        }
-        Ok(())
     }
 
     /// Scrubs every trace of the dying enclave's identity from the mail
@@ -1205,8 +1202,10 @@ impl SecurityMonitor {
     /// explorer: a rebuilt signing enclave matched a victim's stale filter
     /// and its attestation reply was mis-routed). Undelivered mail in the
     /// dying enclave's own queues is destroyed with it and the senders'
-    /// quotas are refunded; it is read here, at scrub time, so a send racing
-    /// the delete cannot leave an unrefunded ledger entry behind.
+    /// quotas are refunded. The delete marked the enclave
+    /// [`EnclaveLifecycle::Deleted`] before this runs and `send_mail`
+    /// refuses a deleted recipient under its guard, so the queues read here
+    /// are final: no send can land after them unrefunded.
     ///
     /// Lock order matches the send/get paths (enclave meta before ledger,
     /// never both ways): the purge walk holds the table and one meta at a
@@ -1657,23 +1656,15 @@ impl SmApi for SecurityMonitor {
             // Lock the shards holding the requested regions, in ascending
             // shard order (the lock hierarchy); disjoint creations take
             // disjoint locks and proceed in parallel.
-            let mut shard_indices: Vec<usize> = regions
-                .iter()
-                .map(|r| crate::resource::shard_of(ResourceId::Region(*r)))
-                .collect();
-            shard_indices.sort_unstable();
-            shard_indices.dedup();
-            let shards = self.state.resources.shards();
-            let mut guards: BTreeMap<usize, OrderedMutexGuard<'_, ResourceMap>> = BTreeMap::new();
-            for index in shard_indices {
-                guards.insert(index, self.try_lock(&shards[index])?);
-            }
+            let mut guards = self.try_lock_shards(
+                regions
+                    .iter()
+                    .fold(0, |mask, r| mask | shard_bit(ResourceId::Region(*r))),
+            )?;
             // All regions must be available before anything is mutated.
             for region in regions {
                 let id = ResourceId::Region(*region);
-                let guard = guards
-                    .get_mut(&crate::resource::shard_of(id))
-                    .expect("shard locked above");
+                let guard = guards[shard_of(id)].as_ref().expect("shard locked above");
                 match guard.state(id)? {
                     ResourceState::Available => {}
                     _ => {
@@ -1747,8 +1738,8 @@ impl SmApi for SecurityMonitor {
                 // so the transitions cannot fail.
                 for region in regions {
                     let id = ResourceId::Region(*region);
-                    guards
-                        .get_mut(&crate::resource::shard_of(id))
+                    guards[shard_of(id)]
+                        .as_mut()
                         .expect("shard locked above")
                         .grant(DomainKind::SecurityMonitor, id, DomainKind::Enclave(eid))?;
                 }
@@ -1957,19 +1948,28 @@ impl SmApi for SecurityMonitor {
     fn delete_enclave(&self, session: CallerSession, eid: EnclaveId) -> SmResult<()> {
         self.record_call(self.with_global_lock(|| {
             session.require_os()?;
-            // The ownership sweep needs the whole-map view (the OS may have
-            // granted the enclave regions beyond its windows), so every
-            // shard is acquired up front, in ascending rank order — shard
-            // ranks sit below the metadata ranks, so taking them *first*
-            // lets the enclave's own metadata guard stay held from the
-            // running-threads validation all the way through thread removal
-            // and region blocking. Without that span a concurrent
-            // `enter_enclave` could start a thread between the check and
-            // the commit and end up executing inside an enclave whose
-            // regions were just blocked out from under it.
-            let mut shards = self.try_lock_all_shards()?;
+            // The ownership sweep covers only the shards the enclave's mask
+            // names (its windows plus every grant it received). Shard ranks
+            // sit below the metadata rank, so the mask is read under the
+            // guard, the guard released, the shards try-locked ascending
+            // and the guard re-taken: a grant that widened the mask in
+            // between (it sets the bit while holding both its shard and
+            // this guard) turns this attempt into a `ConcurrentCall`, and a
+            // grant after the re-take finds the guard held or the enclave
+            // `Deleted`. The re-taken guard then spans the running-threads
+            // validation through the `Deleted` commit, thread removal and
+            // region blocking, so a concurrent `enter_enclave` either
+            // started its thread first (and this delete refuses) or finds
+            // the enclave `Deleted`.
             let enclave = self.lock_enclave(eid)?;
-            let meta = self.try_lock(&enclave)?;
+            let mask = self.try_lock(&enclave)?.shard_mask;
+            let mut shards = self.try_lock_shards(mask)?;
+            let mut meta = self.try_lock(&enclave)?;
+            meta.require_live()?;
+            if meta.shard_mask != mask {
+                self.stats.concurrency_failures.fetch_add(1, Ordering::Relaxed);
+                return Err(SmError::ConcurrentCall);
+            }
             if meta.running_threads > 0 {
                 return Err(SmError::InvalidState {
                     reason: "enclave has running threads",
@@ -1993,38 +1993,30 @@ impl SmApi for SecurityMonitor {
             // no backend fault points); a pending entry replays through the
             // idempotent redo path.
             let seq = self.journal_record(JournalEntry::DeleteEnclave { eid });
-            let committed = (|| -> SmResult<()> {
-                // The enclave's thread metadata lives in SM memory on its
-                // behalf; destroying the enclave reclaims those slots.
-                // Removing it while the enclave guard is held means any
-                // later `enter_enclave` that squeezes in before the table
-                // removal fails on the thread lookup.
-                self.reclaim_thread_slots(owned_tids);
-                // Block all of the enclave's regions (they stay
-                // inaccessible to everyone until cleaned).
-                for shard in shards.iter_mut() {
-                    Self::block_owned(shard, eid)?;
-                }
-                // The meta guard drops here; the mail purge below locks
-                // *other* enclaves' records at the same rank, so it must
-                // run without ours held.
-                drop(meta);
-                drop(shards);
-                self.touch_resources();
-                // journal: a crash between the ownership sweep and the
-                // mail-fabric teardown is the interesting mid-delete state —
-                // redo_delete finishes the purge from the pending entry.
-                self.journal_step();
-                // The mail-fabric teardown is placed after the last fallible
-                // step, so a delete refused by a lock conflict can never
-                // have already destroyed a still-live enclave's in-flight
-                // mail.
-                self.purge_mail_fabric(eid, &enclave);
-                self.remove_enclave(eid);
-                self.sweep_owned_regions(eid)
-            })();
+            meta.lifecycle = EnclaveLifecycle::Deleted;
+            self.touch_enclave(&mut meta);
+            // The enclave's thread metadata lives in SM memory on its
+            // behalf; destroying the enclave reclaims those slots.
+            self.reclaim_thread_slots(owned_tids);
+            // Block all of the enclave's resources (they stay inaccessible
+            // to everyone until cleaned).
+            for shard in shards.iter_mut().flatten() {
+                Self::block_owned(shard, eid);
+            }
+            // The meta guard drops here; the mail purge below locks *other*
+            // enclaves' records at the same rank, so it must run without
+            // ours held.
+            drop(meta);
+            drop(shards);
+            self.touch_resources();
+            // journal: a crash between the ownership sweep and the
+            // mail-fabric teardown is the interesting mid-delete state —
+            // redo_delete finishes the purge from the pending entry.
+            self.journal_step();
+            self.purge_mail_fabric(eid, &enclave);
+            self.remove_enclave(eid);
             self.journal_complete(seq);
-            committed
+            Ok(())
         }))
     }
 
@@ -2152,15 +2144,18 @@ impl SmApi for SecurityMonitor {
             // resource in a state nobody can use or reclaim through the
             // normal transitions — the owner can never block it. (Found by
             // the adversarial explorer's exclusivity invariant.) The
-            // liveness check runs *while the shard is held* (shard ranks sit
-            // below the enclave table, so the order is legal): a racing
-            // `delete_enclave` either already removed the enclave — the
-            // check fails here — or removes it afterwards and catches this
-            // grant in its post-removal sweep.
+            // grantee's guard is taken *while the shard is held* (shard
+            // ranks sit below the metadata rank, so the order is legal)
+            // to put the shard's bit in its mask: a racing
+            // `delete_enclave` either committed first — the enclave is
+            // gone or `Deleted` here — or reads the widened mask and sweeps
+            // this shard after the grant lands. A grant refused below
+            // leaves the bit set, which only widens a later delete's sweep.
             if let DomainKind::Enclave(eid) = new_owner {
-                if !self.state.enclaves.read().contains_key(&eid) {
-                    return Err(SmError::UnknownEnclave(eid));
-                }
+                let enclave = self.lock_enclave(eid)?;
+                let mut meta = self.try_lock(&enclave)?;
+                meta.require_live()?;
+                meta.shard_mask |= shard_bit(id);
             }
             // Validate without committing (authorization first, mirroring
             // `ResourceMap::grant`), then program the isolation primitive,
@@ -2489,6 +2484,10 @@ impl SmApi for SecurityMonitor {
             })?;
             let enclave = self.lock_enclave(recipient)?;
             let mut meta = self.try_lock(&enclave)?;
+            // A deleted recipient's queues were (or are about to be) read
+            // for refunds; a message landing now would be destroyed with
+            // them and its quota unit never refunded.
+            meta.require_live()?;
             // Routing: a sender named by any specific filter is *only*
             // routed to specifically-armed mailboxes — its overflow
             // backpressures instead of spilling into a wildcard service
@@ -2558,6 +2557,9 @@ impl SmApi for SecurityMonitor {
             let eid = session.require_enclave()?;
             let enclave = self.lock_enclave(eid)?;
             let mut meta = self.try_lock(&enclave)?;
+            // A deleted enclave's queued mail was already refunded by the
+            // delete's purge; delivering it now would refund it twice.
+            meta.require_live()?;
             let mb = meta
                 .mailboxes
                 .get_mut(mailbox)

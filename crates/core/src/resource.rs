@@ -353,6 +353,16 @@ pub const fn shard_of(id: ResourceId) -> usize {
     }
 }
 
+/// A set of shards, bit `k` standing for shard `k`.
+pub type ShardMask = u8;
+
+const _: () = assert!(RESOURCE_SHARDS <= ShardMask::BITS as usize);
+
+/// The [`ShardMask`] holding only the shard resource `id` lives on.
+pub const fn shard_bit(id: ResourceId) -> ShardMask {
+    1 << shard_of(id)
+}
+
 /// The resource map split across [`RESOURCE_SHARDS`] independently locked
 /// shards, so API transactions touching different resources do not contend
 /// (paper Sections IV–V: harts only serialize on the object they operate

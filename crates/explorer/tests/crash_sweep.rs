@@ -21,7 +21,7 @@ use sanctorum_explorer::trace::{format_trace, parse_trace};
 use sanctorum_core::api::SmApi;
 use sanctorum_core::error::SmError;
 use sanctorum_core::monitor::TestWeakening;
-use sanctorum_core::resource::ResourceId;
+use sanctorum_core::resource::{shard_of, ResourceId, ResourceState};
 use sanctorum_core::session::CallerSession;
 use sanctorum_hal::domain::{CoreId, DomainKind};
 use sanctorum_machine::fault::ALL_SITES;
@@ -153,9 +153,11 @@ fn recovery_is_idempotent_and_a_noop_on_clean_worlds() {
 /// re-issuing the delete when the crash landed before the intent was
 /// journaled — must end in exactly the monitor and machine state of an
 /// uncrashed delete. The world queues mail both ways between the victim and
-/// a survivor, and the survivor's accept filters name the victim, so the
-/// thread reclaim, region sweep, mail purge, ledger refund and filter
-/// disarm all have work to do on every path. Filters are not audit-visible,
+/// a survivor, the survivor's accept filters name the victim, and the
+/// victim holds a granted region on a shard its window does not use, so
+/// the thread reclaim, the region sweep through the victim's shard mask,
+/// the mail purge, the ledger refund and the filter disarm all have work to
+/// do on every path. Filters are not audit-visible,
 /// so every path also recycles the victim's id and checks the survivor's
 /// filters turn the new incarnation away.
 #[test]
@@ -186,7 +188,19 @@ fn delete_victim(platform: PlatformKind, crash_at: Option<u64>) -> (u64, u64, Ve
     let victim = world.live[0].built.eid;
     let victim_region = world.live[0].built.regions[0];
     let survivor = world.live[1].built.eid;
+    let granted = world.os.reserve_regions(1).unwrap()[0];
+    assert_ne!(
+        shard_of(ResourceId::Region(granted)),
+        shard_of(ResourceId::Region(victim_region))
+    );
     let monitor = &world.system.monitor;
+    monitor
+        .grant_resource(
+            CallerSession::os(),
+            ResourceId::Region(granted),
+            DomainKind::Enclave(victim),
+        )
+        .unwrap();
     let as_victim = CallerSession::enclave(victim);
     let as_survivor = CallerSession::enclave(survivor);
     monitor.accept_mail(as_survivor, 0, victim.as_u64()).unwrap();
@@ -212,6 +226,14 @@ fn delete_victim(platform: PlatformKind, crash_at: Option<u64>) -> (u64, u64, Ve
     }
     assert_eq!(world.system.monitor.enclaves(), vec![survivor]);
     assert_eq!(world.system.monitor.journal_pending(), 0);
+    assert_eq!(
+        world
+            .system
+            .monitor
+            .resource_state(ResourceId::Region(granted)),
+        Ok(ResourceState::Blocked(DomainKind::Enclave(victim))),
+        "the granted region was swept"
+    );
 
     // Recycle the id: the OS cleans the victim's region, takes it back and
     // rebuilds the same image onto it.
