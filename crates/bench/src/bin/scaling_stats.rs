@@ -42,12 +42,21 @@
 //! retries per committed step) — the direct measure of write-path
 //! contention the mutation-scaling work drives down.
 //!
+//! A mixed-mutation cell lasts tens of milliseconds, so one run of it swings
+//! with whatever else the host does meanwhile. Each is therefore repeated
+//! [`MIXED_REPEATS`] times on a fresh system: its throughput is the median
+//! repeat's, and its retry rate is the retries summed over every repeat
+//! divided by the steps summed likewise. The median drops one odd repeat; a
+//! host state lasting seconds moves all five together, so on a shared VM
+//! the 2T/1T ratio can still differ between runs (EXPERIMENTS.md, "Fig. 2
+//! map: states only").
+//!
 //! Run with: `cargo run --release -p sanctorum-bench --bin scaling_stats`
 
 use sanctorum_bench::{calibrate, extract_number};
 use sanctorum_core::monitor::{LockingMode, SmConfig};
 use sanctorum_explorer::concurrent::concurrent_machine_config;
-use sanctorum_os::concurrent::{run_concurrent, ConcurrentConfig, WorkloadProfile};
+use sanctorum_os::concurrent::{run_concurrent, ConcurrentConfig, ConcurrentStats, WorkloadProfile};
 use sanctorum_os::system::{PlatformKind, System};
 use std::time::Instant;
 
@@ -63,6 +72,9 @@ const MIXED_RETRY_CEILING: f64 = 1.0;
 /// anyway, and batch 1 is the configuration the determinism suite pins).
 const FINE_ID_BATCH: usize = 16;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Fresh-system repeats per mixed-mutation cell (odd, so the median is one
+/// repeat's figure).
+const MIXED_REPEATS: usize = 5;
 
 #[derive(Debug, Clone, Copy)]
 struct Cell {
@@ -83,27 +95,16 @@ fn mode_name(mode: LockingMode) -> &'static str {
     }
 }
 
+/// Runs one cell `repeats` times, each on a fresh system so no warm caches
+/// or leftover enclaves leak between runs or configurations.
 fn run_cell(
     workload: WorkloadProfile,
     locking: LockingMode,
     threads: usize,
+    repeats: usize,
     rounds: usize,
     ops_per_round: usize,
 ) -> Cell {
-    // A fresh system per cell: no warm caches or leftover enclaves leak
-    // between configurations.
-    let system = System::boot(
-        PlatformKind::Sanctum,
-        concurrent_machine_config(),
-        SmConfig {
-            locking,
-            id_batch: match locking {
-                LockingMode::FineGrained => FINE_ID_BATCH,
-                LockingMode::Global => 1,
-            },
-            ..SmConfig::default()
-        },
-    );
     let config = ConcurrentConfig {
         threads,
         rounds,
@@ -111,17 +112,39 @@ fn run_cell(
         profile: workload,
         seed: 0x5ca1e,
     };
-    let start = Instant::now();
-    let stats = run_concurrent(&system, &config, |_| Ok(())).expect("bench workload stays clean");
-    let elapsed = start.elapsed().as_secs_f64();
+    let mut runs: Vec<(f64, f64)> = Vec::with_capacity(repeats);
+    let mut total = ConcurrentStats::default();
+    for _ in 0..repeats {
+        let system = System::boot(
+            PlatformKind::Sanctum,
+            concurrent_machine_config(),
+            SmConfig {
+                locking,
+                id_batch: match locking {
+                    LockingMode::FineGrained => FINE_ID_BATCH,
+                    LockingMode::Global => 1,
+                },
+                ..SmConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let stats =
+            run_concurrent(&system, &config, |_| Ok(())).expect("bench workload stays clean");
+        let elapsed = start.elapsed().as_secs_f64();
+        runs.push((stats.steps as f64 / elapsed, stats.sm_calls as f64 / elapsed));
+        total.steps += stats.steps;
+        total.retries += stats.retries;
+    }
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (steps_per_second, sm_calls_per_second) = runs[runs.len() / 2];
     Cell {
         workload,
         locking,
         threads,
-        steps_per_second: stats.steps as f64 / elapsed,
-        sm_calls_per_second: stats.sm_calls as f64 / elapsed,
-        retries: stats.retries,
-        retry_rate: stats.retry_rate(),
+        steps_per_second,
+        sm_calls_per_second,
+        retries: total.retries,
+        retry_rate: total.retry_rate(),
     }
 }
 
@@ -166,15 +189,15 @@ fn main() {
     println!("# scaling sweep (host_cpus = {host_cpus})");
     let mut cells: Vec<Cell> = Vec::new();
     for workload in [WorkloadProfile::ReadMostly, WorkloadProfile::MixedMutation] {
-        let ops = match workload {
-            WorkloadProfile::ReadMostly => read_ops,
-            WorkloadProfile::MixedMutation => mixed_ops,
+        let (ops, repeats) = match workload {
+            WorkloadProfile::ReadMostly => (read_ops, 1),
+            WorkloadProfile::MixedMutation => (mixed_ops, MIXED_REPEATS),
         };
         // The per-worker op budget shrinks as threads grow, so total work
         // (and wall time per cell) stays roughly constant across the sweep.
         for locking in [LockingMode::Global, LockingMode::FineGrained] {
             for threads in THREAD_COUNTS {
-                let cell = run_cell(workload, locking, threads, rounds, ops / threads);
+                let cell = run_cell(workload, locking, threads, repeats, rounds, ops / threads);
                 println!(
                     "{:>14} {:>12} {} threads: {:>12.0} steps/s {:>12.0} calls/s \
                      ({} retries, {:.3} retries/step)",
@@ -240,7 +263,7 @@ fn main() {
   "bench": "scaling",
   "host_cpus": {host_cpus},
   "calibration_hashes_per_second": {calibration:.1},
-  "config": {{ "rounds": {rounds}, "read_ops_total_per_worker_at_1t": {read_ops}, "mixed_ops_total_per_worker_at_1t": {mixed_ops} }},
+  "config": {{ "rounds": {rounds}, "read_ops_total_per_worker_at_1t": {read_ops}, "mixed_ops_total_per_worker_at_1t": {mixed_ops}, "mixed_repeats": {MIXED_REPEATS} }},
   "single_thread_fine_read_mostly_steps_per_second": {:.1},
   "four_thread_fine_read_mostly_steps_per_second": {:.1},
   "four_thread_global_read_mostly_steps_per_second": {:.1},

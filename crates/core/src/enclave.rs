@@ -64,9 +64,6 @@ pub struct EnclaveMeta {
     pub pt_pool: Vec<PhysAddr>,
     /// Next physical page the bump allocator will hand out.
     pub next_free_page: PhysAddr,
-    /// Whether a data page has been loaded yet (page-table pages must all be
-    /// allocated before the first data page — paper Section VI-A).
-    pub data_loading_started: bool,
     /// Virtual pages already mapped (enforces an injective mapping).
     pub mapped_vpns: BTreeSet<u64>,
     /// In-progress measurement while `Loading`.
@@ -118,7 +115,6 @@ impl EnclaveMeta {
             page_table_root: None,
             pt_pool: Vec::new(),
             next_free_page,
-            data_loading_started: false,
             mapped_vpns: BTreeSet::new(),
             measurement_ctx: Some(measurement_ctx),
             measurement: None,
@@ -133,18 +129,6 @@ impl EnclaveMeta {
     /// Returns `true` if `vaddr` lies inside the enclave virtual range.
     pub fn in_evrange(&self, vaddr: VirtAddr) -> bool {
         vaddr.in_range(self.evrange_base, self.evrange_len)
-    }
-
-    /// Returns `true` if `paddr` lies inside one of the granted windows.
-    pub fn owns_phys(&self, paddr: PhysAddr) -> bool {
-        self.windows.iter().any(|w| {
-            paddr.as_u64() >= w.base.as_u64() && paddr.as_u64() < w.base.as_u64() + w.len
-        })
-    }
-
-    /// Total physical bytes granted.
-    pub fn phys_capacity(&self) -> u64 {
-        self.windows.iter().map(|w| w.len).sum()
     }
 
     /// Allocates the next physical page in ascending order (the bump
@@ -191,19 +175,6 @@ impl EnclaveMeta {
             });
         }
         Ok(())
-    }
-
-    /// Returns the number of physical pages consumed so far.
-    pub fn pages_consumed(&self) -> u64 {
-        let mut consumed = 0;
-        for w in &self.windows {
-            if self.next_free_page.as_u64() >= w.base.as_u64() + w.len {
-                consumed += w.len / PAGE_SIZE as u64;
-            } else if self.next_free_page.as_u64() > w.base.as_u64() {
-                consumed += (self.next_free_page.as_u64() - w.base.as_u64()) / PAGE_SIZE as u64;
-            }
-        }
-        consumed
     }
 
     /// Returns the finalized measurement.
@@ -303,7 +274,6 @@ mod tests {
             m.alloc_next_page(),
             Err(SmError::OutOfResources { .. })
         ));
-        assert_eq!(m.pages_consumed(), 3);
     }
 
     #[test]
@@ -312,10 +282,6 @@ mod tests {
         assert!(m.in_evrange(VirtAddr::new(0x10000)));
         assert!(m.in_evrange(VirtAddr::new(0x17fff)));
         assert!(!m.in_evrange(VirtAddr::new(0x18000)));
-        assert!(m.owns_phys(PhysAddr::new(0x8010_1fff)));
-        assert!(!m.owns_phys(PhysAddr::new(0x8010_2000)));
-        assert!(m.owns_phys(PhysAddr::new(0x8020_0000)));
-        assert_eq!(m.phys_capacity(), 3 * PAGE_SIZE as u64);
     }
 
     #[test]

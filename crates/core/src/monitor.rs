@@ -151,8 +151,6 @@ pub struct SmStats {
     pub api_calls: AtomicU64,
     /// API calls rejected for any reason.
     pub api_rejections: AtomicU64,
-    /// Asynchronous enclave exits performed.
-    pub aex_count: AtomicU64,
     /// Concurrent-transaction failures returned.
     pub concurrency_failures: AtomicU64,
     /// Cycles spent cleaning resources (flushes, zeroing, shootdowns).
@@ -723,11 +721,6 @@ impl SecurityMonitor {
         &self.stats
     }
 
-    /// Returns the configured locking mode.
-    pub fn locking_mode(&self) -> LockingMode {
-        self.config.locking
-    }
-
     /// Returns the platform name reported by the isolation backend (cached
     /// at construction — no backend lock taken).
     pub fn platform_name(&self) -> &'static str {
@@ -1174,21 +1167,25 @@ impl SecurityMonitor {
         self.touch_threads();
     }
 
-    /// Blocks every resource in `shard` that `eid` still owns. A resource
-    /// may already be blocked under this id: enclave ids are physical
+    /// Blocks every resource in `shard` that `eid` owns. Resources already
+    /// blocked under this id are left alone: enclave ids are physical
     /// addresses, so after a delete whose blocked regions the OS never
     /// cleaned, a new enclave over the same base region reuses the id and
-    /// inherits the stale flags. The goal
-    /// state (flagged for release) is already reached there, and skipping
-    /// keeps the sweep total — failing halfway would strand a live enclave
-    /// with blocked windows (found by the adversarial explorer).
+    /// inherits the stale flags. The goal state (flagged for release) is
+    /// already reached there, and skipping keeps the sweep total — failing
+    /// halfway would strand a live enclave with blocked windows (found by
+    /// the adversarial explorer).
     fn block_owned(shard: &mut ResourceMap, eid: EnclaveId) {
-        for rid in shard.owned_by(DomainKind::Enclave(eid)) {
-            if let Ok(ResourceState::Owned(_)) = shard.state(rid) {
-                shard
-                    .block(DomainKind::SecurityMonitor, rid)
-                    .expect("the SM may block any owned resource");
-            }
+        let owned = ResourceState::Owned(DomainKind::Enclave(eid));
+        let ids: Vec<ResourceId> = shard
+            .iter()
+            .filter(|(_, state)| *state == owned)
+            .map(|(id, _)| id)
+            .collect();
+        for id in ids {
+            shard
+                .block(DomainKind::SecurityMonitor, id)
+                .expect("the SM may block any owned resource");
         }
     }
 
@@ -1305,12 +1302,6 @@ impl SecurityMonitor {
     /// Returns the ids of all live enclaves (diagnostic; shared read lock).
     pub fn enclaves(&self) -> Vec<EnclaveId> {
         self.state.enclaves.read().keys().copied().collect()
-    }
-
-    /// Returns the number of live enclaves from the relaxed counter — the
-    /// lock-free fast path `Debug` and load-shedding diagnostics use.
-    pub fn live_enclave_count(&self) -> usize {
-        self.state.live_enclaves.load(Ordering::Relaxed) as usize
     }
 
     /// Takes a consistent [`AuditSnapshot`] of the monitor's
@@ -1571,9 +1562,7 @@ impl SecurityMonitor {
                 meta.running_threads = meta.running_threads.saturating_sub(1);
                 self.touch_enclave(&mut meta);
             }
-            let cost = self.clean_core_for_handoff(core)?;
-            self.stats.aex_count.fetch_add(1, Ordering::Relaxed);
-            Ok(cost)
+            self.clean_core_for_handoff(core)
         });
         self.record_call(result)
     }
@@ -1661,18 +1650,13 @@ impl SmApi for SecurityMonitor {
                     .iter()
                     .fold(0, |mask, r| mask | shard_bit(ResourceId::Region(*r))),
             )?;
-            // All regions must be available before anything is mutated.
+            // All regions must be grantable before anything is mutated.
             for region in regions {
                 let id = ResourceId::Region(*region);
-                let guard = guards[shard_of(id)].as_ref().expect("shard locked above");
-                match guard.state(id)? {
-                    ResourceState::Available => {}
-                    _ => {
-                        return Err(SmError::ResourceStateViolation {
-                            reason: "region must be available to dedicate to a new enclave",
-                        })
-                    }
-                }
+                guards[shard_of(id)]
+                    .as_ref()
+                    .expect("shard locked above")
+                    .check_grant(DomainKind::SecurityMonitor, id)?;
             }
 
             // Geometry comes from the construction-time cache, not the
@@ -1852,7 +1836,6 @@ impl SmApi for SecurityMonitor {
                 .map_err(|_| SmError::Unauthorized)?;
             meta.record_mapping(vaddr)?;
             let dst = meta.alloc_next_page()?;
-            meta.data_loading_started = true;
 
             // Copy contents and build the mapping inside enclave memory.
             let mut contents = vec![0u8; PAGE_SIZE];
@@ -2038,18 +2021,8 @@ impl SmApi for SecurityMonitor {
         self.record_call(self.with_global_lock(|| {
             let mut shard = self.try_lock_shard(id)?;
             // Validate the transition first (without committing).
-            match shard.state(id)? {
-                ResourceState::Blocked(_) => {}
-                _ => {
-                    return Err(SmError::ResourceStateViolation {
-                        reason: "resource must be blocked before cleaning",
-                    })
-                }
-            }
             let caller = session.domain();
-            if caller != DomainKind::Untrusted && caller != DomainKind::SecurityMonitor {
-                return Err(SmError::Unauthorized);
-            }
+            shard.check_clean(caller, id)?;
             // A quarantined region refuses cleaning with Again until
             // recover() verifies the backend can scrub it again.
             if let ResourceId::Region(region) = id {
@@ -2157,25 +2130,14 @@ impl SmApi for SecurityMonitor {
                 meta.require_live()?;
                 meta.shard_mask |= shard_bit(id);
             }
-            // Validate without committing (authorization first, mirroring
-            // `ResourceMap::grant`), then program the isolation primitive,
-            // and only then publish the ownership transfer — the
+            // Validate without committing, then program the isolation
+            // primitive, and only then publish the ownership transfer — the
             // validate → program → publish protocol. Committing first would
             // leave the map claiming an owner the hardware never isolates
             // when the backend fails (PMP exhaustion), and nobody could
             // reclaim the region through the normal transitions.
             let caller = session.domain();
-            if caller != DomainKind::Untrusted && caller != DomainKind::SecurityMonitor {
-                return Err(SmError::Unauthorized);
-            }
-            match shard.state(id)? {
-                ResourceState::Available => {}
-                _ => {
-                    return Err(SmError::ResourceStateViolation {
-                        reason: "resource must be available to be granted",
-                    })
-                }
-            }
+            shard.check_grant(caller, id)?;
             // Intent entry: the backend programming below crosses fault
             // points. A crash between the PMP write and the map commit is
             // undone during replay by parking the backend on the SM, so the

@@ -151,26 +151,6 @@ impl ThreadMeta {
         }
     }
 
-    /// `unassign_thread(tid)` by the OS (e.g. when tearing down an enclave
-    /// whose threads are not running).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the thread is running.
-    pub fn unassign(&mut self) -> SmResult<()> {
-        match self.state {
-            ThreadState::Assigned { .. } => {
-                self.clear_sensitive_state();
-                self.state = ThreadState::Available;
-                Ok(())
-            }
-            ThreadState::Available => Ok(()),
-            ThreadState::Running { .. } => Err(SmError::InvalidState {
-                reason: "cannot unassign a running thread",
-            }),
-        }
-    }
-
     /// Transition to `Running` on `core` (performed by `enter_enclave`).
     ///
     /// # Errors
@@ -287,7 +267,6 @@ mod tests {
     fn running_thread_cannot_be_unassigned_or_released() {
         let mut t = ThreadMeta::loaded(6, E1, 0, None);
         t.start_running(E1, CoreId::new(0)).unwrap();
-        assert!(matches!(t.unassign(), Err(SmError::InvalidState { .. })));
         assert!(matches!(t.release(E1), Err(SmError::InvalidState { .. })));
         assert!(matches!(
             t.start_running(E1, CoreId::new(1)),
@@ -299,12 +278,5 @@ mod tests {
     fn stop_running_requires_running() {
         let mut t = ThreadMeta::loaded(7, E1, 0, None);
         assert!(matches!(t.stop_running(), Err(SmError::InvalidState { .. })));
-    }
-
-    #[test]
-    fn unassign_available_is_idempotent() {
-        let mut t = ThreadMeta::available(8, 0);
-        t.unassign().unwrap();
-        assert_eq!(t.state, ThreadState::Available);
     }
 }
